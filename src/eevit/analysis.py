@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, no_grad
-from .vit import ViTModel
+from .vit import ViTModel, collect_taps
 
 
 class DegenerateFeaturesError(ValueError):
@@ -43,16 +43,14 @@ def cka(x: np.ndarray, y: np.ndarray) -> float:
 def layer_feature_taps(model: ViTModel, images: np.ndarray, batch_size: int = 64) -> list[np.ndarray]:
     """Flattened token features [n, T*D] at every encoder layer, input to output."""
     model.eval()
-    layers_total = model.config.layers
-    chunks: list[list[np.ndarray]] = [[] for _ in range(layers_total)]
+    layers = tuple(range(1, model.config.layers + 1))
+    chunks: list[list[np.ndarray]] = [[] for _ in layers]
     with no_grad():
         for start in range(0, len(images), batch_size):
             batch = Tensor(np.asarray(images[start : start + batch_size], dtype=np.float64))
-            state = model.embed(batch)
-            for layer in range(1, layers_total + 1):
-                state = model.continue_forward(state, layer)
-                b = state.tokens.shape[0]
-                chunks[layer - 1].append(state.tokens.data.reshape(b, -1))
+            taps, _ = collect_taps(model, batch, layers)
+            for parts, state in zip(chunks, taps.values()):
+                parts.append(state.tokens.data.reshape(len(batch.data), -1))
     return [np.concatenate(parts, axis=0) for parts in chunks]
 
 

@@ -206,19 +206,3 @@ class DistillationParts:
 def total_loss(parts: DistillationParts, alpha: float, beta: float) -> Tensor:
     """Weighted overall objective: alpha*hete + beta*(homo_lph + homo_gah) + pred."""
     return parts.hete * alpha + (parts.homo_lph + parts.homo_gah) * beta + parts.pred
-
-
-@dataclass
-class FreezeMask:
-    """Per-parameter trainable flags, applied by name."""
-
-    flags: dict[str, bool]
-
-    def apply(self, named_params) -> None:
-        for name, p in named_params:
-            if name in self.flags:
-                p.trainable = self.flags[name]
-
-    @classmethod
-    def freeze_all(cls, named_params) -> "FreezeMask":
-        return cls({name: False for name, _ in named_params})

@@ -24,7 +24,6 @@ from .distill import (
     AlignModule,
     DistillationParts,
     FeatureBundle,
-    FreezeMask,
     heterogeneous_loss,
     heterogeneous_ordinals,
     homogeneous_gah_loss,
@@ -33,10 +32,11 @@ from .distill import (
     total_loss,
 )
 from .heads import ExitBranch, ExitPlacement, pooled_token_count
+from .inference import cascade
 from .losses import cross_entropy
 from .metrics import MetricsWriter
 from .optim import Optimizer
-from .vit import EncoderOutput, ViTModel
+from .vit import ViTModel, collect_taps
 
 
 class UnfrozenBackboneError(AssertionError):
@@ -171,19 +171,6 @@ def stage1_train(
     return history
 
 
-def collect_taps(
-    model: ViTModel, images: Tensor, positions: tuple[int, ...]
-) -> tuple[dict[int, EncoderOutput], EncoderOutput]:
-    """One incremental pass yielding the encoder output at each exit and at L."""
-    state = model.embed(images)
-    taps: dict[int, EncoderOutput] = {}
-    for position in positions:
-        state = model.continue_forward(state, position)
-        taps[position] = state
-    final_state = model.continue_forward(state, model.config.layers)
-    return taps, final_state
-
-
 def build_align_modules(
     model: ViTModel, placement: ExitPlacement, branches: list[ExitBranch]
 ) -> dict[int, AlignModule]:
@@ -307,17 +294,11 @@ def exit_accuracies(
     batch_size: int = 64,
 ) -> list[float]:
     """Eval-mode accuracy of every internal classifier over a dataset."""
-    model.eval()
-    for branch in branches:
-        branch.eval()
     hits = np.zeros(len(branches), dtype=np.int64)
-    with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            sl = slice(start, start + batch_size)
-            taps, _ = collect_taps(model, Tensor(dataset.images[sl]), placement.positions)
-            for i, branch in enumerate(branches):
-                logits, _, _ = branch(taps[branch.position])
-                hits[i] += int((logits.data.argmax(axis=-1) == dataset.labels[sl]).sum())
+    for start in range(0, len(dataset), batch_size):
+        sl = slice(start, start + batch_size)
+        logits, _ = cascade(model, branches, dataset.images[sl], math.inf)
+        hits += (logits[:-1].argmax(axis=-1) == dataset.labels[sl]).sum(axis=1)
     return [h / len(dataset) for h in hits]
 
 
@@ -339,13 +320,12 @@ def stage2_train(
     """
     use_distillation = _distillation_supported(placement)
     align_modules = build_align_modules(model, placement, branches) if use_distillation else {}
-    FreezeMask.freeze_all(model.named_parameters()).apply(model.named_parameters())
     backbone_before = {name: p.data.copy() for name, p in model.named_parameters()}
 
     model.eval()
     for branch in branches:
         branch.train()
-    branch_params = [p for b in branches for p in b.parameters() if p.trainable]
+    branch_params = [p for b in branches for p in b.parameters()]
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
 
     history = []

@@ -5,7 +5,8 @@ residual), a learned class token and positional embeddings, and a
 linear classifier on the class token.  ``forward_to_layer`` and
 ``continue_forward`` run the block stack incrementally with prefix
 semantics identical to a full pass, which is what the early-exit
-inference loop and the exit branches rely on.
+cascade and the exit branches rely on; ``collect_taps`` gathers the
+encoder outputs at chosen depths in one such pass.
 """
 
 from __future__ import annotations
@@ -205,3 +206,16 @@ class ViTModel(Module):
     def backbone_parameters(self):
         """All parameters except the exit branches (which live elsewhere)."""
         return self.named_parameters()
+
+
+def collect_taps(
+    model: ViTModel, images: Tensor, positions: tuple[int, ...]
+) -> tuple[dict[int, EncoderOutput], EncoderOutput]:
+    """One incremental pass yielding the encoder output at each position and at L."""
+    state = model.embed(images)
+    taps: dict[int, EncoderOutput] = {}
+    for position in positions:
+        state = model.continue_forward(state, position)
+        taps[position] = state
+    final_state = model.continue_forward(state, model.config.layers)
+    return taps, final_state

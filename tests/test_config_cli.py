@@ -137,6 +137,10 @@ class TestCli:
         conf = self._conf(tmp_path)
         assert main(["eval", "--config", conf, "--checkpoint", "x.ckpt", "--tau", "-1"]) == 1
 
+    def test_nan_tau_sweep_validation_exit_code(self, tmp_path):
+        conf = self._conf(tmp_path)
+        assert main(["sweep", "--config", conf, "--checkpoint", "x.ckpt", "--taus", "nan"]) == 1
+
     def test_unknown_key_validation_exit_code(self, tmp_path):
         assert main(["macs", "--set", "model.banana=1"]) == 1
 

@@ -10,7 +10,6 @@ from eevit.distill import (
     AlignmentError,
     DistillationParts,
     FeatureBundle,
-    FreezeMask,
     MissingExitError,
     heterogeneous_loss,
     heterogeneous_ordinals,
@@ -272,16 +271,6 @@ class TestTotalLoss:
             Tensor(0.0),
         )
         assert total_loss(parts, 0.1, 0.1).item() >= 0.0
-
-
-class TestFreezeMask:
-    def test_apply_sets_flags(self, rng):
-        from eevit.layers import Linear
-
-        lin = Linear(3, 2, rng)
-        named = list(lin.named_parameters())
-        FreezeMask.freeze_all(named).apply(named)
-        assert all(not p.trainable for _, p in named)
 
 
 def test_total_loss_gradient_matches_finite_differences(rng):

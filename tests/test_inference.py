@@ -1,14 +1,21 @@
 """Early-exit policy behavior: extremes, monotonicity, cache equivalence."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eevit.autograd import Tensor, no_grad
 from eevit.config import build_run_config, build_system
+from eevit.costs import ExitHistogram, expected_macs, speedup
 from eevit.data import build_dataset
 from eevit.inference import (
     EmptyDatasetError,
     ExitPolicy,
+    NonFiniteLogitsError,
+    cascade,
     classifier_confidence,
     evaluate_dataset,
     infer_early_exit,
@@ -63,10 +70,32 @@ class TestPolicy:
         with pytest.raises(ValueError):
             ExitPolicy(-0.5)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ValueError):
+            ExitPolicy(math.nan)
+
     def test_above_one_allowed(self):
         assert not ExitPolicy(1.0).fires(1.0)
         assert not ExitPolicy(1.5).fires(1.0)
         assert ExitPolicy(0.0).fires(1e-9)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.integers(1, 5),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vectorised_decision_matches_scalar_loop(self, seed, exits, n, tau):
+        r = np.random.default_rng(seed)
+        # draw from a coarse grid too, so confidences land exactly on tau
+        conf = np.where(r.random((exits, n)) < 0.5, r.random((exits, n)), r.integers(0, 5, (exits, n)) / 4)
+        policy = ExitPolicy(tau)
+        expected = []
+        for column in conf.T:
+            first = next((i for i, c in enumerate(column) if policy.fires(float(c))), exits)
+            expected.append(first)
+        np.testing.assert_array_equal(policy.decide(conf), expected)
 
 
 class TestSingleSample:
@@ -165,6 +194,57 @@ class TestDatasetEvaluation:
         full_acc = float((logits.argmax(-1) == dataset.labels).mean())
         assert summary.accuracy == pytest.approx(full_acc)
         assert summary.speedup == 1.0
+
+    def test_compacted_batches_match_batch_of_one(self, trained):
+        run, system, dataset = trained
+        # flipped copies make the set span more than one chunk
+        images = np.concatenate([dataset.images, dataset.images[..., ::-1]])
+        labels = np.concatenate([dataset.labels, dataset.labels])
+        layers_total = run.model.layers
+        for tau in (0.0, 0.7, 0.9, 1.01):
+            results = [
+                infer_early_exit(
+                    system.model, system.branches, image, ExitPolicy(tau),
+                    system.profile, system.placement,
+                )
+                for image in images
+            ]
+            hist = ExitHistogram.from_layers([r.exit_layer for r in results], layers_total)
+            batched = evaluate_dataset(
+                system.model, system.branches, images, labels, ExitPolicy(tau),
+                system.profile, system.placement,
+            )
+            hits = sum(r.predicted_label == label for r, label in zip(results, labels))
+            assert batched.accuracy == hits / len(images)
+            assert batched.histogram.counts == hist.counts
+            assert batched.speedup == speedup(hist)
+            assert batched.expected_macs == expected_macs(system.profile, hist, system.placement)
+
+    def test_departed_samples_have_nan_logits(self, trained):
+        run, system, dataset = trained
+        logits, decided = cascade(system.model, system.branches, dataset.images, 0.7)
+        for sample, first in enumerate(decided):
+            assert np.isfinite(logits[: first + 1, sample]).all()
+            assert np.isnan(logits[first + 1 :, sample]).all()
+        logits, decided = cascade(system.model, system.branches, dataset.images, math.inf)
+        assert np.isfinite(logits).all()
+        assert (decided == len(system.branches)).all()
+
+    def test_non_finite_logits_rejected(self, trained):
+        run, system, dataset = trained
+        last = system.branches[-1]
+        saved = [p.data for p in last.parameters()]
+        for p in last.parameters():
+            p.data = np.full_like(p.data, np.nan)
+        try:
+            with pytest.raises(NonFiniteLogitsError, match=f"layer {last.position}"):
+                evaluate_dataset(
+                    system.model, system.branches, dataset.images, dataset.labels,
+                    ExitPolicy(1.0), system.profile, system.placement,
+                )
+        finally:
+            for p, data in zip(last.parameters(), saved):
+                p.data = data
 
     def test_empty_dataset_rejected(self, trained):
         run, system, dataset = trained
