@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import attention_map_export, cka_heatmap, layer_feature_taps, write_grid_csv
 from .checkpoint import load_checkpoint
 from .config import ConfigError, System, apply_overrides, build_run_config, build_system, parse_config_file
-from .costs import cost_report
+from .costs import cost_report, model_macs
 from .data import build_dataset, gen_synthetic, quantize_to_bytes, write_raw_images
 from .inference import ExitPolicy, evaluate_dataset, threshold_sweep
 from .metrics import MetricsWriter, write_csv
@@ -192,11 +192,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_macs(args) -> int:
     run = _load_run(args)
-    system = build_system(run)
-    report = cost_report(system.profile, system.placement)
+    placement, kernels, windows = run.resolve()
+    profile = model_macs(run.model, placement, kernels, windows, run.exits.expansion)
+    report = cost_report(profile, placement)
     for key, value in report.as_records():
         print(f"{key} = {value}")
-    print(f"total_gmacs = {system.profile.backbone_total() / 1e9:.4f}")
+    print(f"total_gmacs = {profile.backbone_total() / 1e9:.4f}")
     if args.report:
         with open(args.report, "w") as fh:
             for key, value in report.as_records():

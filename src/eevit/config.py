@@ -101,14 +101,15 @@ class _Reader:
         value = self._raw(key, default)
         return value if isinstance(value, bool) else _to_bool(value, key)
 
-    def get_int_list(self, key: str, default):
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return default
+    def get_int_list(self, key: str, default: str) -> tuple[int, ...] | None:
+        """Comma-separated integers; ``auto`` gives None."""
+        parts = self.get_str_list(key, default)
         try:
-            return tuple(int(part.strip()) for part in value.split(",") if part.strip())
+            return None if parts is None else tuple(int(part) for part in parts)
         except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated integers") from None
+            raise ConfigError(
+                f"{key}: expected comma-separated integers or 'auto', got {','.join(parts)!r}"
+            ) from None
 
     def get_float_list(self, key: str, default):
         value = self._raw(key, default)
@@ -119,10 +120,11 @@ class _Reader:
         except ValueError:
             raise ConfigError(f"{key}: expected comma-separated numbers") from None
 
-    def get_str_list(self, key: str, default):
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return default
+    def get_str_list(self, key: str, default: str) -> tuple[str, ...] | None:
+        """Comma-separated strings; ``auto`` gives None."""
+        value = self.get_str(key, default)
+        if value == "auto":
+            return None
         return tuple(part.strip() for part in value.split(",") if part.strip())
 
     def reject_unknown(self):
@@ -199,22 +201,12 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
             mlp_ratio=reader.get_float("model.mlp_ratio", 4.0),
             num_classes=reader.get_int("model.num_classes", 10),
         )
-        positions_raw = reader.get_str("exits.positions", "2,4,6,7")
-        kinds_raw = reader.get_str("exits.kinds", "auto")
-        kernels_raw = reader.get_str("exits.kernels", "auto")
-        windows_raw = reader.get_str("exits.windows", "auto")
         exits = ExitSettings(
-            positions=None
-            if positions_raw == "auto"
-            else tuple(int(p.strip()) for p in positions_raw.split(",") if p.strip()),
+            positions=reader.get_int_list("exits.positions", "2,4,6,7"),
             count=reader.get_int("exits.count", 4),
-            kinds=None if kinds_raw == "auto" else tuple(k.strip() for k in kinds_raw.split(",")),
-            kernels=None
-            if kernels_raw == "auto"
-            else tuple(int(k.strip()) for k in kernels_raw.split(",") if k.strip()),
-            windows=None
-            if windows_raw == "auto"
-            else tuple(int(w.strip()) for w in windows_raw.split(",") if w.strip()),
+            kinds=reader.get_str_list("exits.kinds", "auto"),
+            kernels=reader.get_int_list("exits.kernels", "auto"),
+            windows=reader.get_int_list("exits.windows", "auto"),
             k_max=reader.get_int("exits.k_max", 5),
             g_max=reader.get_int("exits.g_max", 4),
             expansion=reader.get_int("exits.expansion", 1),

@@ -18,7 +18,7 @@ class TruncatedRecordError(ValueError):
 
 
 class LabelRangeError(ValueError):
-    """A record's label byte is outside the configured class count."""
+    """A label is outside the configured class count or the one-byte label field."""
 
 
 @dataclass
@@ -89,6 +89,10 @@ def load_raw_images(path: str, spec: DatasetSpec) -> LabeledDataset:
 
 def write_raw_images(path: str, pixels_uint8: np.ndarray, labels: np.ndarray) -> None:
     """Inverse of the reader: one label byte then channel-major pixel bytes."""
+    if labels.size and (labels.min() < 0 or labels.max() > 255):
+        raise LabelRangeError(
+            f"labels {labels.min()}..{labels.max()} do not fit the one-byte label field"
+        )
     n, c, h, w = pixels_uint8.shape
     records = np.empty((n, 1 + c * h * w), dtype=np.uint8)
     records[:, 0] = labels.astype(np.uint8)

@@ -51,8 +51,7 @@ class AlignModule(Module):
     """Reduce final-layer tokens to an exit's grid with a strided depthwise conv.
 
     Kernel size equals the stride, initialized to window averaging, and
-    is followed by GELU and batch norm.  In test mode the activations
-    are bypassed so a stride-1 identity kernel reproduces its input.
+    is followed by GELU and batch norm.
     """
 
     def __init__(self, dim: int, source_tokens: int, target_tokens: int):
@@ -72,13 +71,10 @@ class AlignModule(Module):
         self.conv = DepthwiseConv2d(dim, stride, rng, stride=stride, padding=0)
         self.conv.weight.data = np.full((stride, stride, dim), 1.0 / (stride * stride))
         self.norm = BatchNorm(dim)
-        self.test_mode = False
 
     def __call__(self, final_tokens: Tensor) -> Tensor:
         out = self.conv(tokens_to_grid(final_tokens))
-        if not self.test_mode:
-            out = self.norm(ag.gelu(out))
-        return grid_to_tokens(out)
+        return grid_to_tokens(self.norm(ag.gelu(out)))
 
 
 def heterogeneous_ordinals(count: int) -> tuple[int, ...]:

@@ -210,19 +210,15 @@ def pooled_token_count(num_patches: int, window: int) -> int:
 
 
 class _ConvStage(Module):
-    """Convolution followed by GELU and batch norm (bypassed in test mode)."""
+    """Convolution followed by GELU and batch norm."""
 
     def __init__(self, conv: Module, channels: int):
         super().__init__()
         self.conv = conv
         self.norm = BatchNorm(channels)
-        self.test_mode = False
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.conv(x)
-        if self.test_mode:
-            return out
-        return self.norm(ag.gelu(out))
+        return self.norm(ag.gelu(self.conv(x)))
 
 
 class LocalPerceptionHead(Module):
@@ -249,11 +245,6 @@ class LocalPerceptionHead(Module):
             _ConvStage(DepthwiseConv2d(hidden, kernel, rng), hidden) if kernel > 0 else None
         )
         self.project = _ConvStage(Linear(hidden, dim, rng), dim)
-
-    def set_test_mode(self, on: bool = True) -> None:
-        for stage in (self.expand, self.spatial, self.project):
-            if stage is not None:
-                stage.test_mode = on
 
     def spatial_mix(self, tokens: Tensor) -> Tensor:
         """Depthwise grid convolution; the zero-kernel schedule entry bypasses it."""

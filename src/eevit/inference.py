@@ -27,10 +27,8 @@ import numpy as np
 
 from .autograd import Tensor, no_grad
 from .costs import (
-    CostReport,
     ExitHistogram,
     MacProfile,
-    cost_report,
     expected_macs,
     path_macs,
     speedup,
@@ -278,9 +276,3 @@ def threshold_sweep(
         _summary(policy.decide(confidences), predictions, labels, policy.tau, profile, placement)
         for policy in policies
     ]
-
-
-def summary_cost_report(
-    summary: EvaluationSummary, profile: MacProfile, placement: ExitPlacement
-) -> CostReport:
-    return cost_report(profile, placement, summary.histogram, tau=summary.tau)

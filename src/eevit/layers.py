@@ -13,14 +13,13 @@ class EmptyAxisError(ValueError):
 
 
 class Parameter(Tensor):
-    """A named, trainable leaf tensor."""
+    """A trainable leaf tensor; ``named_parameters`` sets its name."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, value, name: str = ""):
+    def __init__(self, value):
         super().__init__(np.array(value, dtype=np.float64), requires_grad=True)
-        self.name = name
-        self.trainable = True
+        self.name = ""
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -106,16 +105,13 @@ class Module:
 class Linear(Module):
     """Affine map on the last axis; doubles as a pointwise (1x1) convolution."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         self.weight = Parameter(trunc_normal(rng, (in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ag.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
-        return out
+        return ag.add(ag.matmul(x, self.weight), self.bias)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -130,16 +126,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-12, identity: bool = False):
+    def __init__(self, dim: int, eps: float = 1e-12):
         super().__init__()
         self.gain = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
         self.eps = eps
-        self.identity = identity
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.identity:
-            return x
         return layer_norm(x, self.gain, self.bias, self.eps)
 
 
@@ -180,7 +173,7 @@ def batch_norm(
 
 
 class BatchNorm(Module):
-    def __init__(self, channels: int, eps: float = 1e-8, momentum: float = 0.1, identity: bool = False):
+    def __init__(self, channels: int, eps: float = 1e-8, momentum: float = 0.1):
         super().__init__()
         self.gain = Parameter(np.ones(channels))
         self.bias = Parameter(np.zeros(channels))
@@ -188,11 +181,8 @@ class BatchNorm(Module):
         self.register_buffer("running_var", np.ones(channels))
         self.eps = eps
         self.momentum = momentum
-        self.identity = identity
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.identity:
-            return x
         return batch_norm(
             x,
             self.gain,
@@ -215,20 +205,17 @@ class DepthwiseConv2d(Module):
         rng: np.random.Generator,
         stride: int = 1,
         padding: int | None = None,
-        bias: bool = True,
     ):
         super().__init__()
         self.kernel = kernel
         self.stride = stride
         self.padding = kernel // 2 if padding is None else padding
         self.weight = Parameter(trunc_normal(rng, (kernel, kernel, channels)))
-        self.bias = Parameter(np.zeros(channels)) if bias else None
+        self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
         out = ag.depthwise_conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
-        return out
+        return ag.add(out, self.bias)
 
 
 def avg_pool_global(x: Tensor, axis: int = 1) -> Tensor:

@@ -128,9 +128,9 @@ def load_full_state(
     )
     for i, branch in enumerate(branches or []):
         prefix = f"branch{i}."
-        sub = {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
-        if sub:
-            branch.load_state_dict(sub)
+        branch.load_state_dict(
+            {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
+        )
 
 
 def stage1_train(
@@ -192,8 +192,6 @@ def build_align_modules(
             target = n
         module = AlignModule(model.config.dim, n, target)
         module.eval()
-        for p in module.parameters():
-            p.trainable = False
         modules[ordinal] = module
     return modules
 

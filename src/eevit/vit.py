@@ -203,10 +203,6 @@ class ViTModel(Module):
         """Per-layer attention weights from the most recent recorded pass."""
         return [block.attn.last_attention for block in self.blocks]
 
-    def backbone_parameters(self):
-        """All parameters except the exit branches (which live elsewhere)."""
-        return self.named_parameters()
-
 
 def collect_taps(
     model: ViTModel, images: Tensor, positions: tuple[int, ...]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from eevit.checkpoint import save_checkpoint
 from eevit.cli import main
 from eevit.config import (
     ConfigError,
@@ -12,6 +13,7 @@ from eevit.config import (
     build_system,
     parse_config_text,
 )
+from eevit.train import full_state
 
 TINY_CONF = """
 # desk-scale tiny run
@@ -109,6 +111,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_run_config({"exits.kernels": "5"}).resolve()
 
+    def test_bad_exit_list_names_its_key(self):
+        with pytest.raises(ConfigError, match="exits.kernels"):
+            build_run_config({"exits.kernels": "5,x"})
+
 
 class TestCli:
     def _conf(self, tmp_path, extra=""):
@@ -133,6 +139,14 @@ class TestCli:
         total = float(capsys.readouterr().out.split("total_gmacs = ")[1].split()[0])
         assert abs(total - 16.93) / 16.93 < 0.05
 
+    def test_macs_builds_no_weights(self, tmp_path, capsys, monkeypatch):
+        def no_weights(run):
+            raise AssertionError("macs must not build the model")
+
+        monkeypatch.setattr("eevit.cli.build_system", no_weights)
+        assert main(["macs", "--config", self._conf(tmp_path), "--set", "exits.positions=auto"]) == 0
+        assert "total_gmacs" in capsys.readouterr().out
+
     def test_invalid_tau_validation_exit_code(self, tmp_path):
         conf = self._conf(tmp_path)
         assert main(["eval", "--config", conf, "--checkpoint", "x.ckpt", "--tau", "-1"]) == 1
@@ -147,6 +161,14 @@ class TestCli:
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         conf = self._conf(tmp_path)
         assert main(["eval", "--config", conf, "--checkpoint", "/no/such.ckpt", "--tau", "0.5"]) == 2
+
+    def test_checkpoint_without_branches_is_runtime_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path)
+        system = build_system(build_run_config(parse_config_text(TINY_CONF)))
+        ckpt = str(tmp_path / "backbone_only.ckpt")
+        save_checkpoint(ckpt, full_state(system.model))
+        assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9"]) == 2
+        assert "missing parameter" in capsys.readouterr().err
 
     def test_gen_data_and_raw_eval_round_trip(self, tmp_path, capsys):
         conf = self._conf(tmp_path)

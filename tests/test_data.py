@@ -73,6 +73,12 @@ class TestRawFormat:
         with pytest.raises(LabelRangeError):
             load_raw_images(str(path), _spec(path=str(path)))
 
+    def test_writer_rejects_labels_outside_one_byte(self, tmp_path, rng):
+        pixels = rng.integers(0, 256, size=(2, 3, 32, 32), dtype=np.uint8)
+        for labels in ([0, 256], [-1, 0]):
+            with pytest.raises(LabelRangeError):
+                write_raw_images(str(tmp_path / "wide.bin"), pixels, np.array(labels))
+
 
 class TestSynthetic:
     def test_same_seed_bitwise_identical(self):

@@ -19,6 +19,7 @@ from eevit.distill import (
     prediction_loss,
     total_loss,
 )
+from eevit.layers import grid_to_tokens, tokens_to_grid
 from eevit.losses import cross_entropy
 
 from conftest import FD_TOL, grad_check
@@ -32,11 +33,11 @@ def _softmax_np(x, axis=-1):
 class TestAlignModule:
     def test_identity_kernel_stride_one_reproduces_input(self, rng):
         align = AlignModule(dim=3, source_tokens=16, target_tokens=16)
-        align.test_mode = True
         align.conv.weight.data = np.ones((1, 1, 3))
         align.conv.bias.data[...] = 0.0
         x = Tensor(rng.standard_normal((2, 16, 3)))
-        np.testing.assert_array_equal(align(x).data, x.data)
+        out = grid_to_tokens(align.conv(tokens_to_grid(x)))
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_sixteen_to_four_uses_stride_two(self):
         align = AlignModule(dim=4, source_tokens=16, target_tokens=4)
@@ -45,9 +46,8 @@ class TestAlignModule:
 
     def test_constant_input_averaging_kernel_gives_constant(self):
         align = AlignModule(dim=2, source_tokens=16, target_tokens=4)
-        align.test_mode = True
         align.conv.bias.data[...] = 0.0
-        out = align(Tensor(np.full((1, 16, 2), 3.0)))
+        out = align.conv(tokens_to_grid(Tensor(np.full((1, 16, 2), 3.0))))
         np.testing.assert_allclose(out.data, 3.0, rtol=1e-12)
 
     def test_impossible_reduction_rejected(self):

@@ -20,6 +20,7 @@ from eevit.heads import (
     pool_token_grid,
     pooled_token_count,
 )
+from eevit.layers import grid_to_tokens, tokens_to_grid
 from eevit.vit import EncoderOutput, ViTConfig
 
 from conftest import FD_TOL, grad_check
@@ -44,9 +45,8 @@ class TestSpatialMix:
         head = LocalPerceptionHead(3, kernel=3, rng=rng)
         head.spatial.conv.weight.data = np.full((3, 3, 3), 1.0 / 9.0)
         head.spatial.conv.bias.data[...] = 0.0
-        head.set_test_mode(True)
         tokens = Tensor(np.full((1, 16, 3), 2.5))
-        out = head.spatial_mix(tokens)
+        out = grid_to_tokens(head.spatial.conv(tokens_to_grid(tokens)))
         # interior cells average nine equal values; padded edges shrink the sum
         assert out.shape == (1, 16, 3)
         center = out.data[0].reshape(4, 4, 3)[1, 1]
@@ -57,9 +57,8 @@ class TestSpatialMix:
         kernel = np.arange(1.0, 10.0).reshape(3, 3, 1)
         head.spatial.conv.weight.data = kernel
         head.spatial.conv.bias.data[...] = 0.0
-        head.set_test_mode(True)
         grid = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 4, 1)
-        out = head.spatial_mix(Tensor(grid)).data.reshape(2, 2)
+        out = head.spatial.conv(tokens_to_grid(Tensor(grid))).data.reshape(2, 2)
         # zero padding; kernel applied as cross-correlation
         padded = np.pad(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
         expect = np.empty((2, 2))
@@ -106,18 +105,6 @@ class TestTokenGridPool:
 
 
 class TestLocalPerceptionHead:
-    def test_collapses_to_token_mean_in_test_mode(self, rng):
-        head = LocalPerceptionHead(4, kernel=0, rng=rng)
-        head.set_test_mode(True)
-        head.expand.conv.weight.data = np.eye(4)
-        head.expand.conv.bias.data[...] = 0.0
-        head.project.conv.weight.data = np.eye(4)
-        head.project.conv.bias.data[...] = 0.0
-        tokens = rng.standard_normal((2, 9, 4))
-        out, fmap = head(Tensor(tokens), Tensor(np.zeros((2, 4))))
-        np.testing.assert_allclose(out.data, tokens.mean(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(fmap.data, tokens, rtol=1e-12)
-
     def test_cls_addition_is_exact(self, rng):
         head = LocalPerceptionHead(4, kernel=3, rng=rng)
         tokens = Tensor(rng.standard_normal((2, 16, 4)))

@@ -11,7 +11,6 @@ from eevit.layers import (
     BatchNorm,
     DepthwiseConv2d,
     EmptyAxisError,
-    LayerNorm,
     Linear,
     Module,
     Parameter,
@@ -35,11 +34,6 @@ class TestLayerNorm:
         x = Tensor(np.full((2, 8), 3.7))
         out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 8)))
-
-    def test_identity_toggle(self, rng):
-        ln = LayerNorm(8, identity=True)
-        x = Tensor(rng.standard_normal((2, 8)))
-        assert ln(x) is x
 
     def test_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
@@ -91,11 +85,6 @@ class TestBatchNorm:
         out_eval = bn(x)
         np.testing.assert_array_equal(out_train.data, out_eval.data)
         np.testing.assert_array_equal(bn.running_mean, frozen_mean)
-
-    def test_identity_toggle(self, rng):
-        bn = BatchNorm(4, identity=True)
-        x = Tensor(rng.standard_normal((2, 4)))
-        assert bn(x) is x
 
     def test_gradients_both_modes(self, rng):
         for training in (True, False):
@@ -165,7 +154,7 @@ def test_depthwise_conv_preserves_constants_with_uniform_kernel(seed, window):
     r = np.random.default_rng(seed)
     c = int(r.integers(1, 4))
     value = float(r.uniform(-3, 3))
-    conv = DepthwiseConv2d(c, 3, r, bias=False)
+    conv = DepthwiseConv2d(c, 3, r)
     conv.weight.data = np.full((3, 3, c), 1.0 / 9.0)
     x = Tensor(np.full((1, 4, 4, c), value))
     out = ag.avg_pool2d(conv(x), window)
