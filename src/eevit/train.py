@@ -36,11 +36,37 @@ from .inference import cascade
 from .losses import cross_entropy
 from .metrics import MetricsWriter
 from .optim import Optimizer
-from .vit import ViTModel, collect_taps
+from .vit import EncoderOutput, ViTModel, collect_taps
 
 
 class UnfrozenBackboneError(AssertionError):
     """Stage two modified a parameter the freeze mask was protecting."""
+
+
+@dataclass
+class FrozenOutputs:
+    """What the frozen backbone gives stage 2 for a batch of images."""
+
+    taps: dict[int, np.ndarray]  # exit position -> encoder tokens [b, N + 1, D]
+    final_logits: np.ndarray  # [b, C]
+    final_tokens: np.ndarray  # final patch tokens [b, N, D], class token dropped
+
+    def rows(self, idx: np.ndarray) -> FrozenOutputs:
+        return FrozenOutputs(
+            {p: t[idx] for p, t in self.taps.items()}, self.final_logits[idx], self.final_tokens[idx]
+        )
+
+
+def frozen_outputs(model: ViTModel, images: np.ndarray, positions: tuple[int, ...]) -> FrozenOutputs:
+    """Taps at ``positions``, final logits and final patch tokens, without a graph."""
+    with no_grad():
+        taps, final_state = collect_taps(model, Tensor(images), positions)
+        final_logits = model.final_classifier(final_state)
+    return FrozenOutputs(
+        {p: state.tokens.data for p, state in taps.items()},
+        final_logits.data,
+        final_state.patches().data,
+    )
 
 
 @dataclass
@@ -206,37 +232,35 @@ def _distillation_supported(placement: ExitPlacement) -> bool:
 
 
 def stage2_batch_losses(
-    model: ViTModel,
     branches: list[ExitBranch],
     align_modules: dict[int, AlignModule],
-    images: Tensor,
+    frozen: FrozenOutputs,
     labels: np.ndarray,
     cfg: TrainConfig,
     placement: ExitPlacement,
     use_distillation: bool,
 ) -> tuple[Tensor, dict[str, float], np.ndarray]:
     """Objective for one batch: distillation terms plus per-exit cross entropy."""
-    with no_grad():
-        taps, final_state = collect_taps(model, images, placement.positions)
-        final_logits = model.final_classifier(final_state).detach()
-        final_tokens = final_state.patches().detach()
     branch_logits: list[Tensor] = []
     features: list[Tensor] = []
     ce_sum: Tensor | None = None
     for branch in branches:
-        logits, _, fmap = branch(taps[branch.position])
+        tap = EncoderOutput(Tensor(frozen.taps[branch.position]), branch.position)
+        logits, _, fmap = branch(tap)
         branch_logits.append(logits)
         features.append(fmap)
         ce = cross_entropy(logits, labels)
         ce_sum = ce if ce_sum is None else ce_sum + ce
     if use_distillation:
-        bundle = FeatureBundle(features, final_tokens)
+        bundle = FeatureBundle(features, Tensor(frozen.final_tokens))
         half = placement.count // 2
         parts = DistillationParts(
             hete=heterogeneous_loss(bundle, align_modules),
             homo_lph=homogeneous_lph_loss(features[:half]),
             homo_gah=homogeneous_gah_loss(features[half:]),
-            pred=prediction_loss(branch_logits, final_logits, labels, cfg.gamma, cfg.temperature),
+            pred=prediction_loss(
+                branch_logits, Tensor(frozen.final_logits), labels, cfg.gamma, cfg.temperature
+            ),
         )
         distill_total = total_loss(parts, cfg.alpha, cfg.beta)
         objective = distill_total + ce_sum
@@ -256,19 +280,38 @@ def stage2_batch_losses(
     return objective, scalars, preds
 
 
+def _frozen_table(model: ViTModel, images: np.ndarray, batch_size: int, positions) -> FrozenOutputs:
+    """``frozen_outputs`` for every image, one ``batch_size`` chunk at a time, in order."""
+    chunks = [
+        frozen_outputs(model, images[start : start + batch_size], positions)
+        for start in range(0, len(images), batch_size)
+    ]
+    return FrozenOutputs(
+        {p: np.concatenate([c.taps[p] for c in chunks]) for p in positions},
+        np.concatenate([c.final_logits for c in chunks]),
+        np.concatenate([c.final_tokens for c in chunks]),
+    )
+
+
 def _epoch_pass(
     model, branches, align_modules, dataset, cfg, placement, use_distillation,
-    opt: Optimizer | None, rng: np.random.Generator, augment=(False, False),
+    opt: Optimizer | None, rng: np.random.Generator, table: FrozenOutputs | None,
+    augment=(False, False),
 ) -> dict[str, float]:
+    """One pass over the dataset; the frozen outputs come from ``table`` or, with none, per batch."""
     crop, flip = augment
     sums: dict[str, float] = {}
     hits = np.zeros(len(branches), dtype=np.int64)
     seen = 0
     for idx in _batches(len(dataset), cfg.batch_size, rng):
-        images = augment_batch(dataset.images[idx], rng, crop, flip)
+        if table is not None:
+            frozen = table.rows(idx)
+        else:
+            images = augment_batch(dataset.images[idx], rng, crop, flip)
+            frozen = frozen_outputs(model, images, placement.positions)
         labels = dataset.labels[idx]
         objective, scalars, preds = stage2_batch_losses(
-            model, branches, align_modules, Tensor(images), labels, cfg, placement, use_distillation
+            branches, align_modules, frozen, labels, cfg, placement, use_distillation
         )
         if opt is not None:
             ag.backward(objective)
@@ -315,6 +358,15 @@ def stage2_train(
     The history starts with an epoch-0 record measuring the objective
     before any update.  Raises UnfrozenBackboneError if any backbone or
     final-classifier parameter changed bit for bit.
+
+    The backbone's outputs depend only on the image, so without
+    augmentation they are computed once, before the first pass, into a
+    table of ``FrozenOutputs`` rows in dataset order (``batch_size``
+    images per forward), and every pass gathers its batches from it.  The
+    table holds n * (k*T*D + N*D + C) float64 values: n images, k exits,
+    T = N + 1 tokens of width D, N patches, C classes; 43 MB for 1000
+    desk images.  With crop or flip on, each batch's images differ per
+    pass, so the outputs are computed per batch instead.
     """
     use_distillation = _distillation_supported(placement)
     align_modules = build_align_modules(model, placement, branches) if use_distillation else {}
@@ -325,12 +377,13 @@ def stage2_train(
         branch.train()
     branch_params = [p for b in branches for p in b.parameters()]
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
+    table = None if any(augment) else _frozen_table(model, dataset.images, cfg.batch_size, placement.positions)
 
     history = []
     baseline_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 0]))
     baseline = _epoch_pass(
         model, branches, align_modules, dataset, cfg, placement, use_distillation,
-        opt=None, rng=baseline_rng, augment=augment,
+        opt=None, rng=baseline_rng, table=table, augment=augment,
     )
     history.append(baseline)
     if writer is not None:
@@ -343,7 +396,7 @@ def stage2_train(
             branch.train()
         record = _epoch_pass(
             model, branches, align_modules, dataset, cfg, placement, use_distillation,
-            opt=opt, rng=rng, augment=augment,
+            opt=opt, rng=rng, table=table, augment=augment,
         )
         history.append(record)
         if writer is not None:

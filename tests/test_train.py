@@ -1,9 +1,12 @@
 """Two-stage training behavior: freezing, convergence, checkpointing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+
+import eevit.train as train_mod
 
 from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
@@ -153,6 +156,41 @@ class TestStage2:
         for align in aligns.values():
             assert not align.training
 
+    @pytest.mark.parametrize("epochs2", [1, 3])
+    def test_frozen_backbone_runs_once_per_chunk_without_augmentation(self, monkeypatch, epochs2):
+        run, system, dataset = small_run(epochs2=epochs2)
+        calls = _count_collect_taps(monkeypatch)
+        stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        assert calls == [math.ceil(len(dataset) / run.train.batch_size)]
+
+    def test_frozen_backbone_runs_per_batch_with_flip(self, monkeypatch):
+        run, system, dataset = small_run(epochs2=2)
+        calls = _count_collect_taps(monkeypatch)
+        stage2_train(
+            system.model, system.branches, dataset, run.train, system.placement, augment=(False, True)
+        )
+        batches = math.ceil(len(dataset) / run.train.batch_size)
+        assert calls == [(run.train.epochs_stage2 + 1) * batches]
+
+    def test_table_rows_match_a_recomputed_permuted_batch(self, rng):
+        run, system, dataset = small_run(per_class=12)
+        cfg, placement = run.train, system.placement
+        aligns = build_align_modules(system.model, placement, system.branches)
+        for branch in system.branches:
+            branch.eval()
+        table = train_mod._frozen_table(system.model, dataset.images, cfg.batch_size, placement.positions)
+        idx = rng.permutation(len(dataset))[: cfg.batch_size]
+        recomputed = train_mod.frozen_outputs(system.model, dataset.images[idx], placement.positions)
+        _, from_table, _ = train_mod.stage2_batch_losses(
+            system.branches, aligns, table.rows(idx), dataset.labels[idx], cfg, placement, True
+        )
+        _, from_images, _ = train_mod.stage2_batch_losses(
+            system.branches, aligns, recomputed, dataset.labels[idx], cfg, placement, True
+        )
+        assert from_table.keys() == from_images.keys()
+        for key, value in from_images.items():
+            assert from_table[key] == pytest.approx(value, rel=1e-12), key
+
     def test_mlp_placement_trains_with_plain_cross_entropy(self):
         run, system, dataset = small_run(
             per_class=15, epochs1=4, epochs2=6, extra={"exits.kinds": "mlp,mlp,mlp,mlp"}
@@ -161,6 +199,19 @@ class TestStage2:
         history = stage2_train(system.model, system.branches, dataset, run.train, system.placement)
         assert "loss_total" not in history[-1]
         assert history[-1]["loss_ce_exits"] < history[0]["loss_ce_exits"]
+
+
+def _count_collect_taps(monkeypatch) -> list[int]:
+    """Count calls to ``collect_taps`` made through ``eevit.train``."""
+    calls = [0]
+    original = train_mod.collect_taps
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "collect_taps", counted)
+    return calls
 
 
 class TestFullStateRoundTrip:
@@ -175,18 +226,17 @@ class TestFullStateRoundTrip:
 
 def test_stage2_objective_gradient_matches_finite_differences(rng):
     run, system, dataset = small_run(per_class=4)
-    from eevit.autograd import Tensor
-    from eevit.train import stage2_batch_losses
+    from eevit.train import frozen_outputs, stage2_batch_losses
 
     aligns = build_align_modules(system.model, system.placement, system.branches)
     for branch in system.branches:
         branch.eval()  # eval-mode norms make the objective deterministic
-    images = Tensor(dataset.images[:4])
+    frozen = frozen_outputs(system.model, dataset.images[:4], system.placement.positions)
     labels = dataset.labels[:4]
 
     def build():
         objective, _, _ = stage2_batch_losses(
-            system.model, system.branches, aligns, images, labels,
+            system.branches, aligns, frozen, labels,
             run.train, system.placement, use_distillation=True,
         )
         return objective
