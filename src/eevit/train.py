@@ -43,6 +43,20 @@ class UnfrozenBackboneError(AssertionError):
     """Stage two modified a parameter the freeze mask was protecting."""
 
 
+class NonFiniteLossError(FloatingPointError):
+    """A training loss came out NaN or infinite."""
+
+    def __init__(self, stage: int, epoch: int, batch: int, value: float):
+        super().__init__(f"stage {stage} epoch {epoch} batch {batch}: loss is {value}")
+        self.stage, self.epoch, self.batch = stage, epoch, batch
+
+
+def _check_finite(value: float, stage: int, epoch: int, batch: int) -> float:
+    if not math.isfinite(value):
+        raise NonFiniteLossError(stage, epoch, batch, value)
+    return value
+
+
 @dataclass
 class FrozenOutputs:
     """What the frozen backbone gives stage 2 for a batch of images."""
@@ -149,14 +163,16 @@ def full_state(model: ViTModel, branches: list[ExitBranch] | None = None) -> dic
 def load_full_state(
     state: dict[str, np.ndarray], model: ViTModel, branches: list[ExitBranch] | None = None
 ) -> None:
-    model.load_state_dict(
-        {k[len("model.") :]: v for k, v in state.items() if k.startswith("model.")}
-    )
-    for i, branch in enumerate(branches or []):
-        prefix = f"branch{i}."
-        branch.load_state_dict(
-            {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
-        )
+    """Load ``full_state`` entries; a missing entry's error names its part (``branch0``)."""
+    parts = [("model", model)] + [(f"branch{i}", b) for i, b in enumerate(branches or [])]
+    for part, module in parts:
+        prefix = part + "."
+        try:
+            module.load_state_dict(
+                {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
+            )
+        except KeyError as exc:
+            raise KeyError(f"{part}: {exc.args[0]}") from None
 
 
 def stage1_train(
@@ -175,15 +191,16 @@ def stage1_train(
     for epoch in range(1, cfg.epochs_stage1 + 1):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, epoch]))
         losses, hits, seen = 0.0, 0, 0
-        for idx in _batches(len(dataset), cfg.batch_size, rng):
+        for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
             images = augment_batch(dataset.images[idx], rng, crop, flip)
             labels = dataset.labels[idx]
             logits = model.forward(Tensor(images))
             loss = cross_entropy(logits, labels)
+            value = _check_finite(loss.item(), 1, epoch, batch)
             ag.backward(loss)
             clip_gradients(opt.params, cfg.clip_norm)
             opt.step()
-            losses += loss.item() * len(idx)
+            losses += value * len(idx)
             hits += int((logits.data.argmax(axis=-1) == labels).sum())
             seen += len(idx)
         record = {"loss_ce": losses / seen, "train_acc": hits / seen}
@@ -295,7 +312,7 @@ def _frozen_table(model: ViTModel, images: np.ndarray, batch_size: int, position
 
 def _epoch_pass(
     model, branches, align_modules, dataset, cfg, placement, use_distillation,
-    opt: Optimizer | None, rng: np.random.Generator, table: FrozenOutputs | None,
+    opt: Optimizer | None, rng: np.random.Generator, epoch: int, table: FrozenOutputs | None,
     augment=(False, False),
 ) -> dict[str, float]:
     """One pass over the dataset; the frozen outputs come from ``table`` or, with none, per batch."""
@@ -303,7 +320,7 @@ def _epoch_pass(
     sums: dict[str, float] = {}
     hits = np.zeros(len(branches), dtype=np.int64)
     seen = 0
-    for idx in _batches(len(dataset), cfg.batch_size, rng):
+    for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
         if table is not None:
             frozen = table.rows(idx)
         else:
@@ -313,6 +330,7 @@ def _epoch_pass(
         objective, scalars, preds = stage2_batch_losses(
             branches, align_modules, frozen, labels, cfg, placement, use_distillation
         )
+        _check_finite(scalars["objective"], 2, epoch, batch)
         if opt is not None:
             ag.backward(objective)
             clip_gradients(opt.params, cfg.clip_norm)
@@ -323,7 +341,7 @@ def _epoch_pass(
         seen += len(idx)
     record = {key: value / seen for key, value in sums.items()}
     for i, branch in enumerate(branches):
-        record[f"exit{i + 1}_acc"] = hits[i] / seen
+        record[f"exit{i + 1}_acc"] = int(hits[i]) / seen
     return record
 
 
@@ -383,7 +401,7 @@ def stage2_train(
     baseline_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 0]))
     baseline = _epoch_pass(
         model, branches, align_modules, dataset, cfg, placement, use_distillation,
-        opt=None, rng=baseline_rng, table=table, augment=augment,
+        opt=None, rng=baseline_rng, epoch=0, table=table, augment=augment,
     )
     history.append(baseline)
     if writer is not None:
@@ -396,7 +414,7 @@ def stage2_train(
             branch.train()
         record = _epoch_pass(
             model, branches, align_modules, dataset, cfg, placement, use_distillation,
-            opt=opt, rng=rng, table=table, augment=augment,
+            opt=opt, rng=rng, epoch=epoch, table=table, augment=augment,
         )
         history.append(record)
         if writer is not None:

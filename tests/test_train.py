@@ -11,7 +11,9 @@ import eevit.train as train_mod
 from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
 from eevit.data import build_dataset
+from eevit.metrics import MetricsWriter
 from eevit.train import (
+    NonFiniteLossError,
     UnfrozenBackboneError,
     build_align_modules,
     collect_taps,
@@ -214,6 +216,48 @@ def _count_collect_taps(monkeypatch) -> list[int]:
     return calls
 
 
+class TestNonFiniteLoss:
+    def _with_nan_image(self, dataset, sample):
+        images = dataset.images.copy()
+        images[sample, 0, 0, 0] = np.nan
+        return dataclasses.replace(dataset, images=images)
+
+    def test_stage1_names_epoch_and_batch(self):
+        run, system, dataset = small_run(epochs1=2)
+        sample = 7
+        dataset = self._with_nan_image(dataset, sample)
+        order = np.random.default_rng(np.random.SeedSequence([run.train.seed, 1, 1])).permutation(len(dataset))
+        batch = int(np.flatnonzero(order == sample)[0]) // run.train.batch_size + 1
+        with pytest.raises(NonFiniteLossError, match=f"stage 1 epoch 1 batch {batch}: loss is nan") as info:
+            stage1_train(system.model, dataset, run.train)
+        assert (info.value.stage, info.value.epoch, info.value.batch) == (1, 1, batch)
+
+    def test_stage2_raises_in_the_baseline_pass(self):
+        run, system, dataset = small_run()
+        dataset = self._with_nan_image(dataset, 0)
+        with pytest.raises(NonFiniteLossError, match="stage 2 epoch 0 batch") as info:
+            stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        assert info.value.stage == 2 and info.value.epoch == 0
+
+
+def test_metric_streams_hold_plain_numbers(tmp_path):
+    run, system, dataset = small_run(epochs1=1, epochs2=1)
+    paths = [tmp_path / "stage1.txt", tmp_path / "stage2.txt"]
+    stage1_train(system.model, dataset, run.train, writer=MetricsWriter(str(paths[0])))
+    stage2_train(
+        system.model, system.branches, dataset, run.train, system.placement,
+        writer=MetricsWriter(str(paths[1])),
+    )
+    for path in paths:
+        lines = path.read_text().splitlines()
+        assert lines
+        for line in lines:
+            fields = dict(field.split("=", 1) for field in line.split())
+            for key, value in fields.items():
+                if key not in ("run", "phase"):
+                    float(value)
+
+
 class TestFullStateRoundTrip:
     def test_model_and_branches(self, tmp_path):
         run, system, dataset = small_run()
@@ -222,6 +266,11 @@ class TestFullStateRoundTrip:
         load_full_state(state, system2.model, system2.branches)
         for key, value in full_state(system2.model, system2.branches).items():
             np.testing.assert_array_equal(value, state[key])
+
+    def test_missing_branch_is_named(self):
+        run, system, dataset = small_run()
+        with pytest.raises(KeyError, match="branch0: missing parameter"):
+            load_full_state(full_state(system.model), system.model, system.branches)
 
 
 def test_stage2_objective_gradient_matches_finite_differences(rng):
