@@ -354,7 +354,7 @@ def gelu(a) -> Tensor:
     a = _lift(a)
     x = a.data
     # x * x * x, not x**3: libm pow costs about 50x more per element, and
-    # neither form is correctly rounded (they differ only in the last bit).
+    # neither is correctly rounded; both stay within one ulp of the cube.
     inner = _SQRT_2_OVER_PI * (x + _GELU_CUBIC * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)

@@ -297,7 +297,9 @@ def stage2_batch_losses(
     return objective, scalars, preds
 
 
-def _frozen_table(model: ViTModel, images: np.ndarray, batch_size: int, positions) -> FrozenOutputs:
+def _frozen_table(
+    model: ViTModel, images: np.ndarray, batch_size: int, positions: tuple[int, ...]
+) -> FrozenOutputs:
     """``frozen_outputs`` for every image, one ``batch_size`` chunk at a time, in order."""
     chunks = [
         frozen_outputs(model, images[start : start + batch_size], positions)
@@ -395,7 +397,9 @@ def stage2_train(
         branch.train()
     branch_params = [p for b in branches for p in b.parameters()]
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
-    table = None if any(augment) else _frozen_table(model, dataset.images, cfg.batch_size, placement.positions)
+    table = None
+    if not any(augment):
+        table = _frozen_table(model, dataset.images, cfg.batch_size, placement.positions)
 
     history = []
     baseline_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 0]))

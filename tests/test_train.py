@@ -226,9 +226,11 @@ class TestNonFiniteLoss:
         run, system, dataset = small_run(epochs1=2)
         sample = 7
         dataset = self._with_nan_image(dataset, sample)
-        order = np.random.default_rng(np.random.SeedSequence([run.train.seed, 1, 1])).permutation(len(dataset))
+        rng = np.random.default_rng(np.random.SeedSequence([run.train.seed, 1, 1]))
+        order = rng.permutation(len(dataset))
         batch = int(np.flatnonzero(order == sample)[0]) // run.train.batch_size + 1
-        with pytest.raises(NonFiniteLossError, match=f"stage 1 epoch 1 batch {batch}: loss is nan") as info:
+        message = f"stage 1 epoch 1 batch {batch}: loss is nan"
+        with pytest.raises(NonFiniteLossError, match=message) as info:
             stage1_train(system.model, dataset, run.train)
         assert (info.value.stage, info.value.epoch, info.value.batch) == (1, 1, batch)
 
