@@ -105,7 +105,8 @@ def _cmd_train(args) -> int:
     if args.stage in ("2", "all"):
         if args.stage == "2":
             ckpt = args.checkpoint or os.path.join(run.output_dir, "stage1_final.ckpt")
-            load_full_state(load_checkpoint(ckpt), system.model)
+            backbone = {k: v for k, v in load_checkpoint(ckpt).items() if k.startswith("model.")}
+            load_full_state(backbone, system.model)
         writer = MetricsWriter(
             os.path.join(run.output_dir, "metrics_stage2.txt"), timestamps=run.timestamps
         )

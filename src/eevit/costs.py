@@ -174,7 +174,6 @@ def path_macs(
     profile: MacProfile,
     placement: ExitPlacement | None,
     exit_layer: int,
-    include_heads: bool = True,
 ) -> int:
     """Cost of one sample that leaves at ``exit_layer``.
 
@@ -185,7 +184,7 @@ def path_macs(
     """
     layers_total = profile.layers_total
     total = profile.patch_embed + sum(profile.per_block[:exit_layer])
-    if include_heads and placement is not None:
+    if placement is not None:
         for position in placement.positions:
             if position <= exit_layer:
                 total += profile.head_by_position[position]
@@ -199,7 +198,6 @@ def expected_macs(
     profile: MacProfile,
     hist: ExitHistogram,
     placement: ExitPlacement | None,
-    include_heads: bool = True,
 ) -> float:
     """Sample-weighted mean path cost over an exit histogram."""
     total = hist.total()
@@ -218,7 +216,7 @@ def expected_macs(
             continue
         if layer not in allowed:
             raise InconsistentHistogramError(f"samples exit at layer {layer}, not an exit")
-        acc += count * path_macs(profile, placement, layer, include_heads)
+        acc += count * path_macs(profile, placement, layer)
     return acc / total
 
 
@@ -227,11 +225,6 @@ class CostReport:
     backbone_macs: int
     full_macs_with_heads: int
     path_macs_by_layer: dict[int, int]
-    tau: float | None = None
-    histogram: ExitHistogram | None = None
-    speedup_value: float | None = None
-    expected_with_heads: float | None = None
-    expected_backbone_only: float | None = None
 
     def as_records(self) -> list[tuple[str, object]]:
         rows: list[tuple[str, object]] = [
@@ -240,35 +233,11 @@ class CostReport:
         ]
         for layer in sorted(self.path_macs_by_layer):
             rows.append((f"path_macs_layer_{layer}", self.path_macs_by_layer[layer]))
-        if self.tau is not None:
-            rows.append(("tau", self.tau))
-        if self.speedup_value is not None:
-            rows.append(("speedup", self.speedup_value))
-        if self.expected_with_heads is not None:
-            rows.append(("expected_macs_with_heads", self.expected_with_heads))
-        if self.expected_backbone_only is not None:
-            rows.append(("expected_macs_backbone_only", self.expected_backbone_only))
         return rows
 
 
-def cost_report(
-    profile: MacProfile,
-    placement: ExitPlacement | None,
-    hist: ExitHistogram | None = None,
-    tau: float | None = None,
-) -> CostReport:
+def cost_report(profile: MacProfile, placement: ExitPlacement | None) -> CostReport:
     layers_total = profile.layers_total
     exit_layers = sorted({*(placement.positions if placement else ()), layers_total})
     paths = {layer: path_macs(profile, placement, layer) for layer in exit_layers}
-    if hist is None:
-        return CostReport(profile.backbone_total(), profile.full_total(), paths, tau)
-    return CostReport(
-        backbone_macs=profile.backbone_total(),
-        full_macs_with_heads=profile.full_total(),
-        path_macs_by_layer=paths,
-        tau=tau,
-        histogram=hist,
-        speedup_value=speedup(hist),
-        expected_with_heads=expected_macs(profile, hist, placement, include_heads=True),
-        expected_backbone_only=expected_macs(profile, hist, placement, include_heads=False),
-    )
+    return CostReport(profile.backbone_total(), profile.full_total(), paths)

@@ -31,22 +31,6 @@ class AlignmentError(ValueError):
     """No integer stride reaches the target token count."""
 
 
-@dataclass
-class FeatureBundle:
-    """Pre-pool token features per exit plus the final-layer tokens.
-
-    ``exit_features`` is ordered by exit ordinal (1-based in the math);
-    ``final_tokens`` excludes the class token and is detached.
-    """
-
-    exit_features: list[Tensor]
-    final_tokens: Tensor
-
-    @property
-    def count(self) -> int:
-        return len(self.exit_features)
-
-
 class AlignModule(Module):
     """Reduce final-layer tokens to an exit's grid with a strided depthwise conv.
 
@@ -84,18 +68,24 @@ def heterogeneous_ordinals(count: int) -> tuple[int, ...]:
     return tuple(sorted({1, count // 2, count // 2 + 1, count}))
 
 
-def heterogeneous_loss(bundle: FeatureBundle, align_modules: dict[int, AlignModule]) -> Tensor:
-    """Channel-softmax KL from aligned final features to selected exit features."""
-    ordinals = heterogeneous_ordinals(bundle.count)
-    missing = [m for m in ordinals if m not in align_modules]
+def aligned_teachers(
+    align_modules: dict[int, AlignModule], final_tokens: Tensor
+) -> dict[int, np.ndarray]:
+    """Channel-softmax of each aligned final-layer map, keyed by exit ordinal, without a graph."""
+    with no_grad():
+        return {m: ag.softmax(a(final_tokens), axis=-1).data for m, a in align_modules.items()}
+
+
+def heterogeneous_loss(exit_features: list[Tensor], teachers: dict[int, np.ndarray]) -> Tensor:
+    """Channel-softmax KL from ``aligned_teachers`` to selected exit features."""
+    ordinals = heterogeneous_ordinals(len(exit_features))
+    missing = [m for m in ordinals if m not in teachers]
     if missing:
-        raise MissingExitError(f"no aligning module for exit ordinals {missing}")
+        raise MissingExitError(f"no aligned teacher for exit ordinals {missing}")
     total: Tensor | None = None
     for m in ordinals:
-        with no_grad():
-            teacher = ag.softmax(align_modules[m](bundle.final_tokens), axis=-1)
-        student = ag.softmax(bundle.exit_features[m - 1], axis=-1)
-        term = kl_divergence(teacher.detach(), student)
+        student = ag.softmax(exit_features[m - 1], axis=-1)
+        term = kl_divergence(teachers[m], student)
         total = term if total is None else total + term
     return total * 0.25
 

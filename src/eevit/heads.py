@@ -9,6 +9,7 @@ width-D feature vector that feeds a per-exit linear classifier.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,30 +87,40 @@ class ExitPlacement:
 def place_exits(per_block_macs, num_exits: int) -> ExitPlacement:
     """Choose exit layers so the compute between cuts is as even as possible.
 
-    Exhaustively minimizes the variance of the cumulative backbone MACs
-    of the segments delimited by the exits (including the tail from the
-    last exit to the final layer); ties resolve to the shallowest
-    position tuple.
+    Minimizes the variance of the backbone MACs of the segments delimited
+    by the exits (including the tail from the last exit to the final
+    layer).  With the segment count and total fixed, that is the least
+    sum of squared segment MACs, which a dynamic program over (segments,
+    first layer) finds exactly in O(k L^2).  Block values are used as
+    given, so integer MAC counts make ties exact; ties resolve to the
+    shallowest position tuple.
     """
-    blocks = [float(m) for m in per_block_macs]
-    layers_total = len(blocks)
+    prefix = [0, *itertools.accumulate(np.asarray(per_block_macs).tolist())]
+    layers_total = len(prefix) - 1
     if num_exits >= layers_total:
         raise PlacementError(
             f"cannot place {num_exits} exits in a {layers_total}-layer backbone"
         )
     if num_exits < 1:
         raise PlacementError("need at least one exit")
-    prefix = np.concatenate([[0.0], np.cumsum(blocks)])
-    best: tuple[int, ...] | None = None
-    best_var = np.inf
-    for combo in itertools.combinations(range(1, layers_total), num_exits):
-        cuts = np.array([0, *combo, layers_total])
-        segments = prefix[cuts[1:]] - prefix[cuts[:-1]]
-        var = float(np.var(segments))
-        if var < best_var - 1e-12:
-            best_var = var
-            best = combo
-    return ExitPlacement.with_default_kinds(layers_total, best)
+    # tail[i]: (least sum of squares cutting blocks i+1..L into one segment
+    # more than the previous tail, shallowest first cut reaching it)
+    tail = [((prefix[-1] - prefix[i]) ** 2, layers_total) for i in range(layers_total)]
+    tails = []
+    for _ in range(num_exits):
+        tail = [
+            min(
+                (((prefix[c] - prefix[i]) ** 2 + tail[c][0], c) for c in range(i + 1, layers_total)),
+                default=(math.inf, layers_total),
+            )
+            for i in range(layers_total)
+        ]
+        tails.append(tail)
+    positions, start = [], 0
+    for tail in reversed(tails):
+        start = tail[start][1]
+        positions.append(start)
+    return ExitPlacement.with_default_kinds(layers_total, positions)
 
 
 def _nearest_odd_or_zero(x: float) -> int:

@@ -23,7 +23,7 @@ from .data import LabeledDataset, augment_batch
 from .distill import (
     AlignModule,
     DistillationParts,
-    FeatureBundle,
+    aligned_teachers,
     heterogeneous_loss,
     heterogeneous_ordinals,
     homogeneous_gah_loss,
@@ -63,23 +63,30 @@ class FrozenOutputs:
 
     taps: dict[int, np.ndarray]  # exit position -> encoder tokens [b, N + 1, D]
     final_logits: np.ndarray  # [b, C]
-    final_tokens: np.ndarray  # final patch tokens [b, N, D], class token dropped
+    teachers: dict[int, np.ndarray]  # exit ordinal -> aligned teacher distribution [b, t, D]
 
     def rows(self, idx: np.ndarray) -> FrozenOutputs:
         return FrozenOutputs(
-            {p: t[idx] for p, t in self.taps.items()}, self.final_logits[idx], self.final_tokens[idx]
+            {p: t[idx] for p, t in self.taps.items()},
+            self.final_logits[idx],
+            {m: t[idx] for m, t in self.teachers.items()},
         )
 
 
-def frozen_outputs(model: ViTModel, images: np.ndarray, positions: tuple[int, ...]) -> FrozenOutputs:
-    """Taps at ``positions``, final logits and final patch tokens, without a graph."""
+def frozen_outputs(
+    model: ViTModel,
+    images: np.ndarray,
+    positions: tuple[int, ...],
+    align_modules: dict[int, AlignModule],
+) -> FrozenOutputs:
+    """Taps at ``positions``, final logits and ``aligned_teachers``, without a graph."""
     with no_grad():
         taps, final_state = collect_taps(model, Tensor(images), positions)
         final_logits = model.final_classifier(final_state)
     return FrozenOutputs(
         {p: state.tokens.data for p, state in taps.items()},
         final_logits.data,
-        final_state.patches().data,
+        aligned_teachers(align_modules, final_state.patches()),
     )
 
 
@@ -163,8 +170,19 @@ def full_state(model: ViTModel, branches: list[ExitBranch] | None = None) -> dic
 def load_full_state(
     state: dict[str, np.ndarray], model: ViTModel, branches: list[ExitBranch] | None = None
 ) -> None:
-    """Load ``full_state`` entries; a missing entry's error names its part (``branch0``)."""
+    """Load ``full_state`` entries strictly, naming the part of a missing one (``branch0``).
+
+    An entry that no part consumes is rejected before anything is loaded.
+    """
     parts = [("model", model)] + [(f"branch{i}", b) for i, b in enumerate(branches or [])]
+    expected = {
+        f"{part}.{name}"
+        for part, module in parts
+        for name, _ in [*module.named_parameters(), *module.named_buffers()]
+    }
+    for key in state:
+        if key not in expected:
+            raise KeyError(f"unexpected entry {key!r}")
     for part, module in parts:
         prefix = part + "."
         try:
@@ -250,7 +268,6 @@ def _distillation_supported(placement: ExitPlacement) -> bool:
 
 def stage2_batch_losses(
     branches: list[ExitBranch],
-    align_modules: dict[int, AlignModule],
     frozen: FrozenOutputs,
     labels: np.ndarray,
     cfg: TrainConfig,
@@ -269,10 +286,9 @@ def stage2_batch_losses(
         ce = cross_entropy(logits, labels)
         ce_sum = ce if ce_sum is None else ce_sum + ce
     if use_distillation:
-        bundle = FeatureBundle(features, Tensor(frozen.final_tokens))
         half = placement.count // 2
         parts = DistillationParts(
-            hete=heterogeneous_loss(bundle, align_modules),
+            hete=heterogeneous_loss(features, frozen.teachers),
             homo_lph=homogeneous_lph_loss(features[:half]),
             homo_gah=homogeneous_gah_loss(features[half:]),
             pred=prediction_loss(
@@ -298,17 +314,21 @@ def stage2_batch_losses(
 
 
 def _frozen_table(
-    model: ViTModel, images: np.ndarray, batch_size: int, positions: tuple[int, ...]
+    model: ViTModel,
+    images: np.ndarray,
+    batch_size: int,
+    positions: tuple[int, ...],
+    align_modules: dict[int, AlignModule],
 ) -> FrozenOutputs:
     """``frozen_outputs`` for every image, one ``batch_size`` chunk at a time, in order."""
     chunks = [
-        frozen_outputs(model, images[start : start + batch_size], positions)
+        frozen_outputs(model, images[start : start + batch_size], positions, align_modules)
         for start in range(0, len(images), batch_size)
     ]
     return FrozenOutputs(
         {p: np.concatenate([c.taps[p] for c in chunks]) for p in positions},
         np.concatenate([c.final_logits for c in chunks]),
-        np.concatenate([c.final_tokens for c in chunks]),
+        {m: np.concatenate([c.teachers[m] for c in chunks]) for m in align_modules},
     )
 
 
@@ -327,10 +347,10 @@ def _epoch_pass(
             frozen = table.rows(idx)
         else:
             images = augment_batch(dataset.images[idx], rng, crop, flip)
-            frozen = frozen_outputs(model, images, placement.positions)
+            frozen = frozen_outputs(model, images, placement.positions, align_modules)
         labels = dataset.labels[idx]
         objective, scalars, preds = stage2_batch_losses(
-            branches, align_modules, frozen, labels, cfg, placement, use_distillation
+            branches, frozen, labels, cfg, placement, use_distillation
         )
         _check_finite(scalars["objective"], 2, epoch, batch)
         if opt is not None:
@@ -379,14 +399,16 @@ def stage2_train(
     before any update.  Raises UnfrozenBackboneError if any backbone or
     final-classifier parameter changed bit for bit.
 
-    The backbone's outputs depend only on the image, so without
-    augmentation they are computed once, before the first pass, into a
-    table of ``FrozenOutputs`` rows in dataset order (``batch_size``
-    images per forward), and every pass gathers its batches from it.  The
-    table holds n * (k*T*D + N*D + C) float64 values: n images, k exits,
-    T = N + 1 tokens of width D, N patches, C classes; 43 MB for 1000
-    desk images.  With crop or flip on, each batch's images differ per
-    pass, so the outputs are computed per batch instead.
+    The backbone's outputs and the aligned teachers depend only on the
+    image, so without augmentation they are computed once, before the
+    first pass, into a table of ``FrozenOutputs`` rows in dataset order
+    (``batch_size`` images per forward), and every pass gathers its
+    batches from it.  The table holds n * (k*T*D + sum_m t_m*D + C)
+    float64 values: n images, k exits, T = N + 1 tokens of width D,
+    t_m aligned tokens for heterogeneous ordinal m (none without
+    distillation), C classes; 54 MB for 1000 desk images (t = 16, 16,
+    4, 1).  With crop or flip on, each batch's images differ per pass,
+    so the outputs are computed per batch instead.
     """
     use_distillation = _distillation_supported(placement)
     align_modules = build_align_modules(model, placement, branches) if use_distillation else {}
@@ -399,7 +421,9 @@ def stage2_train(
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
     table = None
     if not any(augment):
-        table = _frozen_table(model, dataset.images, cfg.batch_size, placement.positions)
+        table = _frozen_table(
+            model, dataset.images, cfg.batch_size, placement.positions, align_modules
+        )
 
     history = []
     baseline_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 0]))

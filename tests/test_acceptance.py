@@ -308,7 +308,7 @@ def test_criterion_6_distillation():
     from eevit.data import build_dataset
     from eevit.distill import (
         AlignModule,
-        FeatureBundle,
+        aligned_teachers,
         heterogeneous_loss,
         homogeneous_gah_loss,
         homogeneous_lph_loss,
@@ -327,8 +327,9 @@ def test_criterion_6_distillation():
     final = Tensor(r.standard_normal((2, 16, 4)))
     with no_grad():
         teachers = [aligns[m](final) for m in (1, 2, 3, 4)]
-    bundle = FeatureBundle([Tensor(t.data.copy()) for t in teachers], final)
-    assert heterogeneous_loss(bundle, aligns).item() == pytest.approx(0.0, abs=1e-12)
+    features = [Tensor(t.data.copy()) for t in teachers]
+    hete = heterogeneous_loss(features, aligned_teachers(aligns, final))
+    assert hete.item() == pytest.approx(0.0, abs=1e-12)
     f = Tensor(r.standard_normal((2, 16, 4)))
     assert homogeneous_lph_loss([f, Tensor(f.data.copy())]).item() == 0.0
     g = Tensor(r.standard_normal((2, 4, 5)))

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from eevit.checkpoint import save_checkpoint
@@ -169,6 +170,23 @@ class TestCli:
         save_checkpoint(ckpt, full_state(system.model))
         assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9"]) == 2
         assert "missing parameter" in capsys.readouterr().err
+
+    def test_checkpoint_with_extra_entry_is_runtime_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path)
+        system = build_system(build_run_config(parse_config_text(TINY_CONF)))
+        ckpt = str(tmp_path / "extra.ckpt")
+        state = full_state(system.model, system.branches)
+        save_checkpoint(ckpt, {**state, "model.extra": np.zeros(1)})
+        assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9"]) == 2
+        assert "unexpected entry 'model.extra'" in capsys.readouterr().err
+
+    def test_stage2_starts_from_a_checkpoint_holding_branches(self, tmp_path):
+        conf = self._conf(tmp_path)
+        system = build_system(build_run_config(parse_config_text(TINY_CONF)))
+        ckpt = str(tmp_path / "with_branches.ckpt")
+        save_checkpoint(ckpt, full_state(system.model, system.branches))
+        assert main(["train", "--config", conf, "--stage", "2", "--checkpoint", ckpt]) == 0
+        assert os.path.exists(tmp_path / "out" / "stage2_final.ckpt")
 
     def test_gen_data_and_raw_eval_round_trip(self, tmp_path, capsys):
         conf = self._conf(tmp_path)

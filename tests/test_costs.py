@@ -11,7 +11,6 @@ from eevit.costs import (
     EmptyHistogramError,
     ExitHistogram,
     InconsistentHistogramError,
-    cost_report,
     expected_macs,
     mac_conv,
     mac_gah,
@@ -234,23 +233,8 @@ class TestExpectedMacs:
             hist = ExitHistogram.from_layers([int(x) for x in layers], 8)
             assert expected_macs(profile, hist, placement) <= profile.full_total()
 
-    def test_backbone_only_variant_is_smaller(self):
-        profile, placement = _default_profile()
-        hist = ExitHistogram.from_layers([4, 8], 8)
-        with_heads = expected_macs(profile, hist, placement, include_heads=True)
-        without = expected_macs(profile, hist, placement, include_heads=False)
-        assert without < with_heads
-
     def test_inconsistent_histogram_rejected(self):
         profile, placement = _default_profile()
         hist = ExitHistogram.from_layers([3], 8)  # layer 3 is not an exit
         with pytest.raises(InconsistentHistogramError):
             expected_macs(profile, hist, placement)
-
-    def test_report_records(self):
-        profile, placement = _default_profile()
-        hist = ExitHistogram.from_layers([2, 8], 8)
-        report = cost_report(profile, placement, hist, tau=0.5)
-        keys = [k for k, _ in report.as_records()]
-        assert "speedup" in keys and "expected_macs_with_heads" in keys
-        assert report.expected_backbone_only < report.expected_with_heads

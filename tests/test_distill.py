@@ -9,8 +9,8 @@ from eevit.distill import (
     AlignModule,
     AlignmentError,
     DistillationParts,
-    FeatureBundle,
     MissingExitError,
+    aligned_teachers,
     heterogeneous_loss,
     heterogeneous_ordinals,
     homogeneous_gah_loss,
@@ -76,8 +76,9 @@ class TestHeterogeneousLoss:
         aligns, final = self._setup(rng)
         with ag.no_grad():
             teachers = [aligns[m](final) for m in (1, 2, 3, 4)]
-        bundle = FeatureBundle([Tensor(t.data.copy()) for t in teachers], final)
-        assert heterogeneous_loss(bundle, aligns).item() == pytest.approx(0.0, abs=1e-12)
+        features = [Tensor(t.data.copy()) for t in teachers]
+        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
+        assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_mismatch_contributes_one_quarter(self, rng):
         aligns, final = self._setup(rng)
@@ -85,8 +86,7 @@ class TestHeterogeneousLoss:
             teachers = [aligns[m](final) for m in (1, 2, 3, 4)]
         features = [Tensor(t.data.copy()) for t in teachers]
         features[2] = Tensor(rng.standard_normal(features[2].shape))
-        bundle = FeatureBundle(features, final)
-        loss = heterogeneous_loss(bundle, aligns)
+        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
 
         teacher_probs = _softmax_np(teachers[2].data)
         student_probs = _softmax_np(features[2].data)
@@ -96,8 +96,7 @@ class TestHeterogeneousLoss:
     def test_matches_per_token_bruteforce(self, rng):
         aligns, final = self._setup(rng, batch=3)
         features = [Tensor(rng.standard_normal((3, 16, 4))) for _ in range(4)]
-        bundle = FeatureBundle(features, final)
-        loss = heterogeneous_loss(bundle, aligns)
+        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
 
         acc = 0.0
         for m in (1, 2, 3, 4):
@@ -110,9 +109,9 @@ class TestHeterogeneousLoss:
     def test_missing_align_module_rejected(self, rng):
         aligns, final = self._setup(rng)
         del aligns[3]
-        bundle = FeatureBundle([Tensor(rng.standard_normal((2, 16, 4))) for _ in range(4)], final)
+        features = [Tensor(rng.standard_normal((2, 16, 4))) for _ in range(4)]
         with pytest.raises(MissingExitError):
-            heterogeneous_loss(bundle, aligns)
+            heterogeneous_loss(features, aligned_teachers(aligns, final))
 
 
 class TestHomogeneousLph:
@@ -285,7 +284,7 @@ def test_total_loss_gradient_matches_finite_differences(rng):
 
     def build():
         parts = DistillationParts(
-            hete=heterogeneous_loss(FeatureBundle(features, final), aligns),
+            hete=heterogeneous_loss(features, aligned_teachers(aligns, final)),
             homo_lph=homogeneous_lph_loss(features[:2]),
             homo_gah=homogeneous_gah_loss(features[2:]),
             pred=prediction_loss(logits, final_logits, labels, 0.5, 4.0),

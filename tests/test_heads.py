@@ -1,9 +1,12 @@
 """Exit heads, schedules, and placement against independent hand oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eevit.autograd import Tensor
 from eevit.heads import (
@@ -253,6 +256,24 @@ class TestPlacement:
             blocks = rng.uniform(0.5, 2.0, size=8).tolist()
             m = int(rng.integers(1, 5))
             assert place_exits(blocks, m).positions == _oracle_place(blocks, m)
+
+    @given(st.lists(st.integers(1, 5), min_size=2, max_size=9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_integer_profiles_match_oracle(self, blocks, data):
+        m = data.draw(st.integers(1, len(blocks) - 1))
+        assert place_exits(blocks, m).positions == _oracle_place(blocks, m)
+
+    def test_equal_sum_ties_take_the_shallowest_tuple(self):
+        # Segments 1,1,2,2,2,2,2 and 2,2,2,2,2,1,1 tie; ViT-B/16 block MACs.
+        vit_b16_block = 1_453_954_560
+        assert place_exits([vit_b16_block] * 12, 6).positions == (1, 2, 4, 6, 8, 10)
+        assert _oracle_place([1] * 12, 6) == (1, 2, 4, 6, 8, 10)
+
+    def test_deep_backbone_places_quickly(self):
+        start = time.perf_counter()
+        placement = place_exits([1_453_954_560] * 24, 12)
+        assert time.perf_counter() - start < 1.0
+        assert placement.positions == (1, 2, *range(4, 23, 2))
 
     def test_single_exit_sits_at_mac_midpoint(self):
         assert place_exits([1.0] * 12, 1).positions == (6,)

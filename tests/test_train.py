@@ -11,6 +11,7 @@ import eevit.train as train_mod
 from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
 from eevit.data import build_dataset
+from eevit.distill import AlignModule, heterogeneous_ordinals
 from eevit.metrics import MetricsWriter
 from eevit.train import (
     NonFiniteLossError,
@@ -174,20 +175,46 @@ class TestStage2:
         batches = math.ceil(len(dataset) / run.train.batch_size)
         assert calls == [(run.train.epochs_stage2 + 1) * batches]
 
+    @pytest.mark.parametrize("epochs2", [1, 3])
+    def test_teachers_aligned_once_per_chunk_without_augmentation(self, monkeypatch, epochs2):
+        run, system, dataset = small_run(epochs2=epochs2)
+        calls = _count_align_calls(monkeypatch)
+        stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        ordinals = len(heterogeneous_ordinals(system.placement.count))
+        assert calls == [ordinals * math.ceil(len(dataset) / run.train.batch_size)]
+
+    def test_teachers_aligned_per_batch_with_flip(self, monkeypatch):
+        run, system, dataset = small_run(epochs2=2)
+        calls = _count_align_calls(monkeypatch)
+        stage2_train(
+            system.model, system.branches, dataset, run.train, system.placement, augment=(False, True)
+        )
+        ordinals = len(heterogeneous_ordinals(system.placement.count))
+        batches = math.ceil(len(dataset) / run.train.batch_size)
+        assert calls == [ordinals * (run.train.epochs_stage2 + 1) * batches]
+
     def test_table_rows_match_a_recomputed_permuted_batch(self, rng):
         run, system, dataset = small_run(per_class=12)
         cfg, placement = run.train, system.placement
         aligns = build_align_modules(system.model, placement, system.branches)
         for branch in system.branches:
             branch.eval()
-        table = train_mod._frozen_table(system.model, dataset.images, cfg.batch_size, placement.positions)
+        table = train_mod._frozen_table(
+            system.model, dataset.images, cfg.batch_size, placement.positions, aligns
+        )
         idx = rng.permutation(len(dataset))[: cfg.batch_size]
-        recomputed = train_mod.frozen_outputs(system.model, dataset.images[idx], placement.positions)
+        recomputed = train_mod.frozen_outputs(
+            system.model, dataset.images[idx], placement.positions, aligns
+        )
+        rows = table.rows(idx)
+        assert rows.teachers.keys() == recomputed.teachers.keys() == aligns.keys()
+        for m, teacher in recomputed.teachers.items():
+            np.testing.assert_array_equal(rows.teachers[m], teacher)
         _, from_table, _ = train_mod.stage2_batch_losses(
-            system.branches, aligns, table.rows(idx), dataset.labels[idx], cfg, placement, True
+            system.branches, rows, dataset.labels[idx], cfg, placement, True
         )
         _, from_images, _ = train_mod.stage2_batch_losses(
-            system.branches, aligns, recomputed, dataset.labels[idx], cfg, placement, True
+            system.branches, recomputed, dataset.labels[idx], cfg, placement, True
         )
         assert from_table.keys() == from_images.keys()
         for key, value in from_images.items():
@@ -213,6 +240,19 @@ def _count_collect_taps(monkeypatch) -> list[int]:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(train_mod, "collect_taps", counted)
+    return calls
+
+
+def _count_align_calls(monkeypatch) -> list[int]:
+    """Count ``AlignModule`` forwards, across every instance."""
+    calls = [0]
+    original = AlignModule.__call__
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlignModule, "__call__", counted)
     return calls
 
 
@@ -269,6 +309,18 @@ class TestFullStateRoundTrip:
         for key, value in full_state(system2.model, system2.branches).items():
             np.testing.assert_array_equal(value, state[key])
 
+    @pytest.mark.parametrize("extra", ["model.extra", "branch9.bogus"])
+    def test_unconsumed_entry_is_named(self, extra):
+        run, system, dataset = small_run()
+        state = full_state(system.model, system.branches)
+        state[extra] = np.zeros(1)
+        run2, system2, _ = small_run(seed=1)
+        before = full_state(system2.model, system2.branches)
+        with pytest.raises(KeyError, match=f"unexpected entry '{extra}'"):
+            load_full_state(state, system2.model, system2.branches)
+        for key, value in full_state(system2.model, system2.branches).items():
+            np.testing.assert_array_equal(value, before[key])
+
     def test_missing_branch_is_named(self):
         run, system, dataset = small_run()
         with pytest.raises(KeyError, match="branch0: missing parameter"):
@@ -282,12 +334,12 @@ def test_stage2_objective_gradient_matches_finite_differences(rng):
     aligns = build_align_modules(system.model, system.placement, system.branches)
     for branch in system.branches:
         branch.eval()  # eval-mode norms make the objective deterministic
-    frozen = frozen_outputs(system.model, dataset.images[:4], system.placement.positions)
+    frozen = frozen_outputs(system.model, dataset.images[:4], system.placement.positions, aligns)
     labels = dataset.labels[:4]
 
     def build():
         objective, _, _ = stage2_batch_losses(
-            system.branches, aligns, frozen, labels,
+            system.branches, frozen, labels,
             run.train, system.placement, use_distillation=True,
         )
         return objective
