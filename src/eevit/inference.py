@@ -34,6 +34,7 @@ from .costs import (
     speedup,
 )
 from .heads import ExitBranch, ExitPlacement
+from .layers import eval_mode
 from .losses import InvalidDistributionError
 from .vit import EncoderOutput, ViTModel
 
@@ -143,9 +144,7 @@ def cascade(
     logits = np.full((exits + 1, n, model.config.num_classes), np.nan)
     confidences = np.full((exits, n), np.nan)
     active = np.arange(n)
-    model.eval()
-    for branch in branches:
-        branch.eval()
+    eval_mode(model, *branches)
     with no_grad():
         state = model.embed(Tensor(images))
         for i, branch in enumerate(branches):

@@ -27,8 +27,15 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarr
     return np.clip(rng.standard_normal(shape) * std, -2.0 * std, 2.0 * std)
 
 
+# Bumped by every change to a module's training flag or children, so that
+# ``eval_mode`` can tell that a tree it left in eval mode still is.
+_mode_changes = 0
+
+
 class Module:
     """Minimal parameter registry with named traversal and state dicts."""
+
+    _eval_stamp = -1  # the ``_mode_changes`` at which eval_mode last walked this tree
 
     def __init__(self):
         self._params: dict[str, Parameter] = {}
@@ -37,10 +44,14 @@ class Module:
         self.training = True
 
     def __setattr__(self, name, value):
+        global _mode_changes
         if isinstance(value, Parameter):
             self.__dict__.setdefault("_params", {})[name] = value
         elif isinstance(value, Module):
             self.__dict__.setdefault("_children", {})[name] = value
+            _mode_changes += 1
+        if name == "training":
+            _mode_changes += 1
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
@@ -50,7 +61,9 @@ class Module:
         return arr
 
     def add_child(self, name: str, module: "Module") -> "Module":
+        global _mode_changes
         self._children[name] = module
+        _mode_changes += 1
         return module
 
     def named_parameters(self, prefix: str = ""):
@@ -102,6 +115,20 @@ class Module:
             p.grad = None
 
 
+def eval_mode(*roots: Module) -> None:
+    """Put every module of each tree in eval mode.
+
+    The walk is skipped when every root was left in eval mode by this
+    function and no module's training flag or children changed since.
+    """
+    if all(root._eval_stamp == _mode_changes for root in roots):
+        return
+    for root in roots:
+        root.eval()
+    for root in roots:
+        object.__setattr__(root, "_eval_stamp", _mode_changes)
+
+
 class Linear(Module):
     """Affine map on the last axis; doubles as a pointwise (1x1) convolution."""
 
@@ -111,7 +138,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.matmul(x, self.weight), self.bias)
+        return ag.linear(x, self.weight, self.bias)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:

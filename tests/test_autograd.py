@@ -123,6 +123,72 @@ class TestGelu:
         np.testing.assert_allclose(ag.gelu(Tensor(x)).data, 0.5 * x * (1.0 + t), rtol=1e-15, atol=1e-15)
 
 
+    def test_in_place_form_is_bitwise_the_formula(self, rng):
+        # The formula as an expression, one temporary per operation.
+        x = rng.normal(0.0, 3.0, (64, 17, 256))
+        g = rng.standard_normal(x.shape)
+        t = np.tanh(ag._SQRT_2_OVER_PI * (x + ag._GELU_CUBIC * (x * x * x)))
+        sech2 = 1.0 - t * t
+        d_inner = ag._SQRT_2_OVER_PI * (1.0 + 3.0 * ag._GELU_CUBIC * x * x)
+        expected_grad = g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner)
+        x_before, g_before = x.copy(), g.copy()
+        out = ag.gelu(Tensor(x, requires_grad=True))
+        np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
+        for _ in range(2):  # the backward leaves what its closure keeps intact
+            (grad,) = out.node.grad_fn(g)
+            np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(g, g_before)
+
+    def test_zero_dimensional_gradient(self):
+        x = Tensor(1.5, requires_grad=True)
+        ag.backward(ag.gelu(x))
+        assert x.grad.shape == ()
+        assert np.isfinite(x.grad)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(1, 17, 64), (64, 17, 64), (64, 1, 64), (5, 64)])
+    def test_bitwise_matmul_plus_bias(self, rng, shape):
+        def run(fn):
+            r = np.random.default_rng(7)
+            x = Tensor(r.standard_normal(shape), requires_grad=True)
+            w = Tensor(r.standard_normal((64, 48)), requires_grad=True)
+            b = Tensor(r.standard_normal(48), requires_grad=True)
+            out = fn(x, w, b)
+            ag.backward((out * Tensor(r.standard_normal(out.shape))).sum())
+            return out.data, x.grad, w.grad, b.grad
+
+        one = run(ag.linear)
+        two = run(lambda x, w, b: ag.add(ag.matmul(x, w), b))
+        for a, b in zip(one, two):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_tape_node(self, rng):
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        out = ag.linear(Tensor(rng.standard_normal((2, 4))), w, Tensor(np.zeros(3)))
+        assert len(ag.Tape.trace(out).tensors) == 1
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeMismatchError):
+            ag.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+
+
+class TestReductions:
+    @pytest.mark.parametrize("axis", [None, 0, -1, 1, (0, 2), (1, 2)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_bitwise_ndarray_sum_and_mean(self, rng, axis, keepdims):
+        x = rng.standard_normal((6, 17, 64)) * 10.0 ** rng.integers(-8, 8, (6, 17, 64))
+        np.testing.assert_array_equal(
+            ag.sum_(Tensor(x), axis, keepdims).data, x.sum(axis=axis, keepdims=keepdims)
+        )
+        np.testing.assert_array_equal(
+            ag.mean_(Tensor(x), axis, keepdims).data, x.mean(axis=axis, keepdims=keepdims)
+        )
+
+
 class TestPooling:
     def test_ones_pool_to_ones(self, rng):
         x = Tensor(np.ones((2, 4, 4, 3)))
@@ -193,6 +259,24 @@ class TestDepthwiseConv:
         err = grad_check(lambda: (ag.depthwise_conv2d(x, w, padding=1) ** 2).sum(), [x, w])
         assert err < FD_TOL
 
+    @pytest.mark.parametrize(
+        "shape,k,stride,padding",
+        [((1, 4, 4, 64), 3, 1, 1), ((2, 5, 5, 3), 5, 2, 2), ((2, 6, 6, 4), 3, 1, 0)],
+    )
+    def test_bitwise_np_pad_reference(self, rng, shape, k, stride, padding):
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((k, k, shape[3]))
+        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+        hout = (shape[1] + 2 * padding - k) // stride + 1
+        wout = (shape[2] + 2 * padding - k) // stride + 1
+        expected = np.zeros((shape[0], hout, wout, shape[3]))
+        for u in range(k):
+            for v in range(k):
+                window = xp[:, u : u + stride * hout : stride, v : v + stride * wout : stride]
+                expected += window * w[u, v]
+        out = ag.depthwise_conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        np.testing.assert_array_equal(out, expected)
+
     def test_bad_kernel_shape(self, rng):
         with pytest.raises(ShapeMismatchError):
             ag.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 2))))
@@ -217,6 +301,7 @@ OPS_FOR_FD = [
     ("getitem", lambda x: (x[:, 1:, :] ** 2).sum(), 1),
     ("concat", lambda x, y: (ag.concat([x, y], axis=1) ** 2).sum(), 2),
     ("broadcast", lambda x: (ag.broadcast_to(x[:, :1, :], (3, 2, 4)) ** 2).sum(), 1),
+    ("linear", lambda x, w, b: (ag.linear(x, w[0].transpose(), b[0, 0, :2]) ** 2).sum(), 3),
 ]
 
 

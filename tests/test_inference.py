@@ -11,6 +11,7 @@ from eevit.autograd import Tensor, no_grad
 from eevit.config import build_run_config, build_system
 from eevit.costs import ExitHistogram, expected_macs, speedup
 from eevit.data import build_dataset
+from eevit.layers import Module
 from eevit.inference import (
     EmptyDatasetError,
     ExitPolicy,
@@ -253,6 +254,35 @@ class TestDatasetEvaluation:
                 system.model, system.branches, dataset.images[:0], dataset.labels[:0],
                 ExitPolicy(0.5), system.profile, system.placement,
             )
+
+
+class TestEvalMode:
+    def test_second_cascade_walks_no_module(self, trained, monkeypatch):
+        run, system, dataset = trained
+        cascade(system.model, system.branches, dataset.images[:2], 0.9)
+        walked = []
+        train = Module.train
+
+        def counted(self, mode=True):
+            walked.append(self)
+            return train(self, mode)
+
+        monkeypatch.setattr(Module, "train", counted)
+        cascade(system.model, system.branches, dataset.images[:2], 0.9)
+        assert walked == []
+
+    def test_sub_module_switched_to_training_is_reset(self, trained):
+        run, system, dataset = trained
+        images = dataset.images[:8]
+        before, _ = cascade(system.model, system.branches, images, math.inf)
+        norm = next(b for b in system.branches if b.kind == "lph").head.spatial.norm
+        stats = norm.running_mean.copy(), norm.running_var.copy()
+        norm.train()
+        after, _ = cascade(system.model, system.branches, images, math.inf)
+        assert not norm.training
+        np.testing.assert_array_equal(after, before)
+        np.testing.assert_array_equal(norm.running_mean, stats[0])
+        np.testing.assert_array_equal(norm.running_var, stats[1])
 
 
 class TestSweep:
