@@ -51,6 +51,22 @@ class NonFiniteLossError(FloatingPointError):
         self.stage, self.epoch, self.batch = stage, epoch, batch
 
 
+class NonFiniteGradientError(FloatingPointError):
+    """A gradient came out NaN or infinite, or the global gradient norm overflowed."""
+
+    def __init__(self, parameter: str | None, norm: float):
+        if parameter is None:
+            message = f"the global gradient norm overflowed to {norm}"
+        else:
+            message = f"gradient of {parameter!r} is not finite (global norm {norm})"
+        super().__init__(message)
+        self.parameter = parameter
+
+
+class StateShapeError(LookupError):
+    """A checkpoint entry's shape differs from the configured system's."""
+
+
 def _check_finite(value: float, stage: int, epoch: int, batch: int) -> float:
     if not math.isfinite(value):
         raise NonFiniteLossError(stage, epoch, batch, value)
@@ -136,12 +152,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients down so their global L2 norm is at most max_norm."""
+    """Scale all gradients down so their global L2 norm is at most max_norm.
+
+    A non-finite norm raises ``NonFiniteGradientError`` naming the first
+    parameter, in ``params`` order, whose gradient is not finite.
+    """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = total**0.5
+    if not math.isfinite(norm):
+        bad = (p.name for p in params if p.grad is not None and not np.isfinite(p.grad).all())
+        raise NonFiniteGradientError(next(bad, None), norm)
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
         for p in params:
@@ -170,27 +193,37 @@ def full_state(model: ViTModel, branches: list[ExitBranch] | None = None) -> dic
 def load_full_state(
     state: dict[str, np.ndarray], model: ViTModel, branches: list[ExitBranch] | None = None
 ) -> None:
-    """Load ``full_state`` entries strictly, naming the part of a missing one (``branch0``).
+    """Load ``full_state`` entries strictly, checking every entry before loading any.
 
-    An entry that no part consumes is rejected before anything is loaded.
+    An entry that no part consumes or a missing one raises ``KeyError``,
+    and an entry of another shape ``StateShapeError``; both name the part
+    (``branch0``), and the system is left unchanged.
     """
     parts = [("model", model)] + [(f"branch{i}", b) for i, b in enumerate(branches or [])]
-    expected = {
-        f"{part}.{name}"
-        for part, module in parts
-        for name, _ in [*module.named_parameters(), *module.named_buffers()]
-    }
+    expected = {}
+    for part, module in parts:
+        for kind, named in (
+            ("parameter", module.named_parameters()),
+            ("buffer", module.named_buffers()),
+        ):
+            for name, value in named:
+                expected[f"{part}.{name}"] = (part, kind, name, value.shape)
     for key in state:
         if key not in expected:
             raise KeyError(f"unexpected entry {key!r}")
+    for key, (part, kind, name, shape) in expected.items():
+        if key not in state:
+            raise KeyError(f"{part}: missing {kind} {name!r}")
+        if state[key].shape != shape:
+            raise StateShapeError(
+                f"{part}: shape mismatch for {name!r}: "
+                f"checkpoint {state[key].shape}, system {shape}"
+            )
     for part, module in parts:
         prefix = part + "."
-        try:
-            module.load_state_dict(
-                {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
-            )
-        except KeyError as exc:
-            raise KeyError(f"{part}: {exc.args[0]}") from None
+        module.load_state_dict(
+            {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
+        )
 
 
 def stage1_train(
@@ -417,7 +450,10 @@ def stage2_train(
     model.eval()
     for branch in branches:
         branch.train()
-    branch_params = [p for b in branches for p in b.parameters()]
+    # Named as in the checkpoint (branch0.head...), which errors report.
+    branch_params = [
+        p for i, b in enumerate(branches) for _, p in b.named_parameters(f"branch{i}.")
+    ]
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
     table = None
     if not any(augment):

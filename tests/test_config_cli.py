@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from eevit import autograd as ag
 from eevit.checkpoint import save_checkpoint
 from eevit.cli import main
 from eevit.config import (
@@ -179,6 +180,34 @@ class TestCli:
         save_checkpoint(ckpt, {**state, "model.extra": np.zeros(1)})
         assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9"]) == 2
         assert "unexpected entry 'model.extra'" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_geometry_is_runtime_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path)
+        entries = parse_config_text(TINY_CONF)
+        entries["model.dim"] = "32"
+        system = build_system(build_run_config(entries))
+        ckpt = str(tmp_path / "dim32.ckpt")
+        save_checkpoint(ckpt, full_state(system.model, system.branches))
+        assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9"]) == 2
+        assert (
+            "model: shape mismatch for 'patch_embed.cls_token': checkpoint (32,), system (16,)"
+            in capsys.readouterr().err
+        )
+
+    def test_non_finite_gradient_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        conf = self._conf(tmp_path)
+        backward = ag.backward
+
+        def poisoned(loss):
+            backward(loss)
+            tensors = ag.Tape.trace(loss).tensors
+            leaf = next(p for t in tensors for p in t.node.inputs if p.grad is not None)
+            leaf.grad = np.full_like(leaf.grad, np.nan)
+
+        monkeypatch.setattr(ag, "backward", poisoned)
+        assert main(["train", "--config", conf, "--stage", "1"]) == 2
+        assert "NonFiniteGradientError: gradient of" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out" / "stage1_final.ckpt")
 
     def test_stage2_starts_from_a_checkpoint_holding_branches(self, tmp_path):
         conf = self._conf(tmp_path)

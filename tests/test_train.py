@@ -2,21 +2,28 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 import eevit.train as train_mod
 
+from eevit import autograd as ag
+
 from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
 from eevit.data import build_dataset
 from eevit.distill import AlignModule, heterogeneous_ordinals
 from eevit.metrics import MetricsWriter
+from eevit.layers import Parameter
 from eevit.train import (
+    NonFiniteGradientError,
     NonFiniteLossError,
+    StateShapeError,
     UnfrozenBackboneError,
     build_align_modules,
+    clip_gradients,
     collect_taps,
     exit_accuracies,
     full_state,
@@ -282,6 +289,48 @@ class TestNonFiniteLoss:
         assert info.value.stage == 2 and info.value.epoch == 0
 
 
+class TestNonFiniteGradient:
+    @staticmethod
+    def _params(grads):
+        params = []
+        for name, grad in grads.items():
+            p = Parameter(np.ones(3))
+            p.name, p.grad = name, np.asarray(grad, dtype=np.float64)
+            params.append(p)
+        return params
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_parameter_in_order(self, bad):
+        params = self._params({"a": [1.0, 2.0, 3.0], "b": [0.0, bad, 0.0], "c": [np.nan] * 3})
+        with pytest.raises(NonFiniteGradientError, match="gradient of 'b' is not finite") as info:
+            clip_gradients(params, 1.0)
+        assert info.value.parameter == "b"
+        np.testing.assert_array_equal(params[0].grad, [1.0, 2.0, 3.0])
+
+    def test_overflowed_norm_of_finite_gradients(self):
+        params = self._params({"a": [1e200, 0.0, 0.0]})
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteGradientError, match="overflowed") as info:
+                clip_gradients(params, 1.0)
+        assert info.value.parameter is None
+
+    def test_stage2_names_the_branch_and_leaves_weights_finite(self, monkeypatch):
+        run, system, dataset = small_run(epochs2=1)
+        named = dict(system.branches[1].named_parameters("branch1."))
+        name, target = next(iter(named.items()))
+        backward = ag.backward
+
+        def poisoned(loss):
+            backward(loss)
+            target.grad = np.full_like(target.grad, np.nan)
+
+        monkeypatch.setattr(ag, "backward", poisoned)
+        with pytest.raises(NonFiniteGradientError) as info:
+            stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        assert info.value.parameter == name
+        assert np.isfinite(target.data).all()
+
+
 def test_metric_streams_hold_plain_numbers(tmp_path):
     run, system, dataset = small_run(epochs1=1, epochs2=1)
     paths = [tmp_path / "stage1.txt", tmp_path / "stage2.txt"]
@@ -320,6 +369,27 @@ class TestFullStateRoundTrip:
             load_full_state(state, system2.model, system2.branches)
         for key, value in full_state(system2.model, system2.branches).items():
             np.testing.assert_array_equal(value, before[key])
+
+    def test_shape_mismatch_is_named_and_loads_nothing(self):
+        run, system, dataset = small_run(extra={"model.dim": "32"})
+        state = full_state(system.model, system.branches)
+        run2, system2, _ = small_run(seed=1)
+        before = full_state(system2.model, system2.branches)
+        message = re.escape(
+            "model: shape mismatch for 'patch_embed.cls_token': checkpoint (32,), system (16,)"
+        )
+        with pytest.raises(StateShapeError, match=message):
+            load_full_state(state, system2.model, system2.branches)
+        for key, value in full_state(system2.model, system2.branches).items():
+            np.testing.assert_array_equal(value, before[key])
+
+    def test_buffer_shape_mismatch_is_named(self):
+        run, system, dataset = small_run()
+        state = full_state(system.model, system.branches)
+        key = next(k for k in state if k.endswith("running_var"))
+        state[key] = state[key][:1]
+        with pytest.raises(StateShapeError, match=f"{key.split('.')[0]}: shape mismatch"):
+            load_full_state(state, system.model, system.branches)
 
     def test_missing_branch_is_named(self):
         run, system, dataset = small_run()
