@@ -157,9 +157,9 @@ _lift = as_tensor
 
 
 def _result(data: Array, inputs: tuple, grad_fn) -> Tensor:
-    # An op's output is already float64, so only a numpy scalar (from a
-    # full reduction or 0-d arithmetic) needs converting; skipping
-    # Tensor.__init__ saves most of the per-op cost at batch 1.
+    # An op's output is already a float64 array, or a numpy scalar from a
+    # full reduction or 0-d arithmetic, so Tensor.__init__'s isinstance and
+    # dtype checks are skipped: they are overhead every batch-1 op pays.
     if data.__class__ is not np.ndarray:
         data = np.asarray(data, dtype=np.float64)
     out = object.__new__(Tensor)
