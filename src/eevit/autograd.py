@@ -529,24 +529,66 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """Affine map ``x @ w + b`` as one graph node; bitwise ``add(matmul(x, w), b)``."""
+    """Affine map ``x @ w + b`` on the last axis: one 2-D gemm and one graph node.
+
+    ``x`` is flattened to ``[rows, D]``, so a batch of token rows is a single
+    gemm and the weight gradient needs no per-sample temporary.
+    """
     x, w, b = _lift(x), _lift(w), _lift(b)
     xd, wd, bd = x.data, w.data, b.data
     _check_matmul(xd, wd)
-    out = xd @ wd
+    if wd.ndim != 2 or bd.shape != wd.shape[1:]:
+        raise ShapeMismatchError(f"linear weight {wd.shape} is not [D, E] or bias {bd.shape} not [E]")
+    x2 = xd.reshape(-1, xd.shape[-1])
+    out = x2 @ wd
     out += bd  # into the fresh product: the same additions as out + bd
 
     def grad_fn(g):
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = _unbroadcast(g @ np.swapaxes(wd, -1, -2), xd.shape)
-        if w.requires_grad:
-            gw = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, wd.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(g, bd.shape)
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ wd.T).reshape(xd.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = np.add.reduce(g2, axis=0) if b.requires_grad else None
         return gx, gw, gb
 
-    return _result(out, (x, w, b), grad_fn)
+    return _result(out.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b), grad_fn)
+
+
+def layer_norm(x, gain, bias, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance, then ``* gain + bias``.
+
+    One graph node.  The forward performs the arithmetic of the composed
+    ops (mean, centre, mean of squares, ``r = (var + eps) ** -0.5``, scale
+    to ``n``, affine) in the same order, so it is bitwise theirs.  The
+    backward is the closed form ``r * (gn - mean(gn) - n * mean(gn * n))``
+    with ``gn = g * gain``.
+    """
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    xd, gd, bd = x.data, gain.data, bias.data
+    d = xd.shape[-1]
+    if gd.shape != (d,) or bd.shape != (d,):
+        raise ShapeMismatchError(f"layer_norm over {d} features: gain {gd.shape}, bias {bd.shape}")
+    centred = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+    r = (var + eps) ** -0.5
+    n = centred * r
+    out = n * gd
+    out += bd
+
+    def grad_fn(g):
+        gx = ggain = gbias = None
+        if x.requires_grad:
+            gn = g * gd
+            gx = gn - np.add.reduce(gn, axis=-1, keepdims=True) / d
+            gn *= n
+            gx -= n * (np.add.reduce(gn, axis=-1, keepdims=True) / d)
+            gx *= r
+        if gain.requires_grad:
+            ggain = np.add.reduce((g * n).reshape(-1, d), axis=0)
+        if bias.requires_grad:
+            gbias = np.add.reduce(g.reshape(-1, d), axis=0)
+        return gx, ggain, gbias
+
+    return _result(out, (x, gain, bias), grad_fn)
 
 
 def gather_rows(a, index: Array) -> Tensor:

@@ -90,6 +90,15 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _confidence(logits: np.ndarray):
+    """Top-class softmax probability of finite logits.
+
+    ``classifier_confidence`` without its probability-vector check, which a
+    softmax of finite logits always passes.
+    """
+    return _softmax_np(logits).max(axis=-1)
+
+
 @dataclass(frozen=True)
 class InferenceResult:
     exit_layer: int
@@ -150,7 +159,7 @@ def cascade(
         for i, branch in enumerate(branches):
             state = model.continue_forward(state, branch.position)
             rows = _finite(branch(state)[0].data, branch.position)
-            conf = classifier_confidence(_softmax_np(rows))
+            conf = _confidence(rows)
             logits[i, active], confidences[i, active] = rows, conf
             stay = ~policy.fires(conf)
             if not stay.all():
@@ -188,7 +197,7 @@ def infer_early_exit(
     return InferenceResult(
         exit_layer=layers[first],
         predicted_label=int(row.argmax()),
-        confidence=float(classifier_confidence(_softmax_np(row))),
+        confidence=float(_confidence(row)),
         macs=path_macs(profile, placement, layers[first]),
         exit_logits={layers[i]: logits[i, 0] for i in range(first + 1)},
     )
@@ -241,7 +250,7 @@ def trace_sample(
     """Run the full cascade once, caching every exit's confidence and label."""
     logits, _ = cascade(model, branches, np.asarray(image)[None], math.inf)
     rows = logits[:, 0]
-    confidences = classifier_confidence(_softmax_np(rows))
+    confidences = _confidence(rows)
     labels = rows.argmax(axis=-1)
     return _SampleTrace(
         confidences=confidences[:-1],
@@ -269,7 +278,7 @@ def threshold_sweep(
         raise EmptyDatasetError("sweep needs at least one sample")
     policies = [ExitPolicy(tau) for tau in taus]
     logits, _ = _cascade_chunks(model, branches, images, math.inf)
-    confidences = classifier_confidence(_softmax_np(logits[:-1]))
+    confidences = _confidence(logits[:-1])
     predictions = logits.argmax(axis=-1)
     return [
         _summary(policy.decide(confidences), predictions, labels, policy.tau, profile, placement)

@@ -145,11 +145,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     """Normalize the last axis to zero mean and unit variance, then affine."""
     if x.shape[-1] == 0:
         raise EmptyAxisError("layer_norm over an empty axis")
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    normed = centered * ag.power(var + eps, -0.5)
-    return normed * gain + bias
+    return ag.layer_norm(x, gain, bias, eps)
 
 
 class LayerNorm(Module):

@@ -54,13 +54,19 @@ class NonFiniteLossError(FloatingPointError):
 class NonFiniteGradientError(FloatingPointError):
     """A gradient came out NaN or infinite, or the global gradient norm overflowed."""
 
-    def __init__(self, parameter: str | None, norm: float):
+    def __init__(
+        self, parameter: str | None, norm: float,
+        stage: int | None = None, epoch: int | None = None, batch: int | None = None,
+    ):
         if parameter is None:
             message = f"the global gradient norm overflowed to {norm}"
         else:
             message = f"gradient of {parameter!r} is not finite (global norm {norm})"
+        if stage is not None:
+            message = f"stage {stage} epoch {epoch} batch {batch}: {message}"
         super().__init__(message)
-        self.parameter = parameter
+        self.parameter, self.norm = parameter, norm
+        self.stage, self.epoch, self.batch = stage, epoch, batch
 
 
 class StateShapeError(LookupError):
@@ -173,6 +179,18 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
+def _update(
+    opt: Optimizer, loss: Tensor, max_norm: float, stage: int, epoch: int, batch: int
+) -> None:
+    """Backpropagate, clip and step; a non-finite gradient names the stage, epoch and batch."""
+    ag.backward(loss)
+    try:
+        clip_gradients(opt.params, max_norm)
+    except NonFiniteGradientError as exc:
+        raise NonFiniteGradientError(exc.parameter, exc.norm, stage, epoch, batch) from None
+    opt.step()
+
+
 def make_optimizer(params, lr: float, cfg: TrainConfig, kind: str | None = None) -> Optimizer:
     return Optimizer(
         params,
@@ -248,9 +266,7 @@ def stage1_train(
             logits = model.forward(Tensor(images))
             loss = cross_entropy(logits, labels)
             value = _check_finite(loss.item(), 1, epoch, batch)
-            ag.backward(loss)
-            clip_gradients(opt.params, cfg.clip_norm)
-            opt.step()
+            _update(opt, loss, cfg.clip_norm, 1, epoch, batch)
             losses += value * len(idx)
             hits += int((logits.data.argmax(axis=-1) == labels).sum())
             seen += len(idx)
@@ -387,9 +403,7 @@ def _epoch_pass(
         )
         _check_finite(scalars["objective"], 2, epoch, batch)
         if opt is not None:
-            ag.backward(objective)
-            clip_gradients(opt.params, cfg.clip_norm)
-            opt.step()
+            _update(opt, objective, cfg.clip_norm, 2, epoch, batch)
         for key, value in scalars.items():
             sums[key] = sums.get(key, 0.0) + value * len(idx)
         hits += (preds == labels).sum(axis=1)

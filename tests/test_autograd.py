@@ -147,22 +147,45 @@ class TestGelu:
         assert np.isfinite(x.grad)
 
 
-class TestLinear:
-    @pytest.mark.parametrize("shape", [(1, 17, 64), (64, 17, 64), (64, 1, 64), (5, 64)])
-    def test_bitwise_matmul_plus_bias(self, rng, shape):
-        def run(fn):
-            r = np.random.default_rng(7)
-            x = Tensor(r.standard_normal(shape), requires_grad=True)
-            w = Tensor(r.standard_normal((64, 48)), requires_grad=True)
-            b = Tensor(r.standard_normal(48), requires_grad=True)
-            out = fn(x, w, b)
-            ag.backward((out * Tensor(r.standard_normal(out.shape))).sum())
-            return out.data, x.grad, w.grad, b.grad
+def _affine_inputs(shape, params):
+    """An input, parameters and the generator that then draws the cotangent, seeded alike."""
+    r = np.random.default_rng(7)
+    return r.standard_normal(shape) * 3.0 + 1.0, [r.standard_normal(p) for p in params], r
 
-        one = run(ag.linear)
-        two = run(lambda x, w, b: ag.add(ag.matmul(x, w), b))
-        for a, b in zip(one, two):
-            np.testing.assert_array_equal(a, b)
+
+def _affine_run(fn, shape, params):
+    """Output and every gradient of ``fn(x, *params)`` under a random cotangent."""
+    x, values, r = _affine_inputs(shape, params)
+    tensors = [Tensor(v, requires_grad=True) for v in [x, *values]]
+    out = fn(*tensors)
+    ag.backward((out * Tensor(r.standard_normal(out.shape))).sum())
+    return [out.data] + [t.grad for t in tensors]
+
+
+class TestLinear:
+    # One 2-D gemm over [B * T, D] sums in another order than B gemms over
+    # [T, D] once B > 1: the batched block [B, 17, D] and the window-4 GAH's
+    # [B, 1, D].  Batch-1 inference relies on the shapes where it does not.
+    COMPOSED_BITWISE = {(1, 17, 64), (5, 64)}
+
+    @pytest.mark.parametrize("shape", [(1, 17, 64), (64, 17, 64), (64, 1, 64), (5, 64)])
+    def test_bitwise_matmul_plus_bias(self, shape):
+        """Bitwise the 2-D formula everywhere, and matmul + bias where batch 1 relies on it."""
+        params = [(64, 48), (48,)]
+        got = _affine_run(ag.linear, shape, params)
+        x, (w, b), r = _affine_inputs(shape, params)
+        x2 = x.reshape(-1, 64)
+        out = x2 @ w + b
+        g2 = r.standard_normal(out.shape)
+        formula = [out.reshape(shape[:-1] + (48,)), (g2 @ w.T).reshape(shape), x2.T @ g2, g2.sum(axis=0)]
+        for one, two in zip(got, formula):
+            np.testing.assert_array_equal(one, two)
+        composed = _affine_run(lambda x, w, b: ag.add(ag.matmul(x, w), b), shape, params)
+        for one, two in zip(got, composed):
+            if shape in self.COMPOSED_BITWISE:
+                np.testing.assert_array_equal(one, two)
+            else:
+                np.testing.assert_allclose(one, two, rtol=0.0, atol=1e-12)
 
     def test_one_tape_node(self, rng):
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
@@ -174,6 +197,41 @@ class TestLinear:
             ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
         with pytest.raises(ShapeMismatchError):
             ag.linear(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+
+    def test_weight_and_bias_shapes(self):
+        """The flattened gemm has no batched-weight form, so a stack of weights is refused."""
+        with pytest.raises(ShapeMismatchError):
+            ag.linear(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((4, 3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeMismatchError):
+            ag.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+
+
+def _composed_layer_norm(x, gain, bias, eps=1e-12):
+    """LayerNorm as the nine elementary ops it used to be built from."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * ag.power(var + eps, -0.5) * gain + bias
+
+
+class TestLayerNormNode:
+    @pytest.mark.parametrize("shape", [(1, 17, 64), (32, 17, 64), (64, 17, 64)])
+    def test_matches_the_composition(self, shape):
+        params = [(64,), (64,)]
+        one = _affine_run(lambda x, g, b: ag.layer_norm(x, g, b, 1e-12), shape, params)
+        nine = _affine_run(_composed_layer_norm, shape, params)
+        np.testing.assert_array_equal(one[0], nine[0])
+        for a, b in zip(one[1:], nine[1:]):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_one_tape_node(self, rng):
+        gain = Tensor(rng.standard_normal(8), requires_grad=True)
+        out = ag.layer_norm(Tensor(rng.standard_normal((2, 3, 8))), gain, Tensor(np.zeros(8)), 1e-12)
+        assert len(ag.Tape.trace(out).tensors) == 1
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-12)
 
 
 class TestReductions:
@@ -302,6 +360,7 @@ OPS_FOR_FD = [
     ("concat", lambda x, y: (ag.concat([x, y], axis=1) ** 2).sum(), 2),
     ("broadcast", lambda x: (ag.broadcast_to(x[:, :1, :], (3, 2, 4)) ** 2).sum(), 1),
     ("linear", lambda x, w, b: (ag.linear(x, w[0].transpose(), b[0, 0, :2]) ** 2).sum(), 3),
+    ("layer_norm", lambda x, g, b: (ag.layer_norm(x, g[0, 0], b[0, 1], 1e-12) ** 3).sum(), 3),
 ]
 
 

@@ -206,7 +206,7 @@ class TestCli:
 
         monkeypatch.setattr(ag, "backward", poisoned)
         assert main(["train", "--config", conf, "--stage", "1"]) == 2
-        assert "NonFiniteGradientError: gradient of" in capsys.readouterr().err
+        assert "NonFiniteGradientError: stage 1 epoch 1 batch 1: gradient of" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out" / "stage1_final.ckpt")
 
     def test_stage2_starts_from_a_checkpoint_holding_branches(self, tmp_path):

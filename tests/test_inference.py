@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from eevit.autograd import Tensor, no_grad
 from eevit.config import build_run_config, build_system
 from eevit.costs import ExitHistogram, expected_macs, speedup
+from eevit import inference
 from eevit.data import build_dataset
 from eevit.layers import Module
 from eevit.inference import (
@@ -330,3 +331,26 @@ class TestSweep:
                 system.model, system.branches, dataset.images, dataset.labels,
                 [], system.profile, system.placement,
             )
+
+
+def test_own_softmax_is_not_revalidated(trained, monkeypatch):
+    """The cascade's confidences skip ``classifier_confidence``'s check, with the same values."""
+    run, system, dataset = trained
+    args = (system.profile, system.placement)
+    taus = [0.0, 0.7, 0.9, 1.01]
+
+    def results():
+        singles = [
+            infer_early_exit(system.model, system.branches, image, ExitPolicy(0.7), *args)
+            for image in dataset.images[:8]
+        ]
+        sweep = threshold_sweep(system.model, system.branches, dataset.images, dataset.labels, taus, *args)
+        return [(r.exit_layer, r.predicted_label, r.confidence, r.macs) for r in singles], sweep
+
+    before = results()
+
+    def refuse(probs):
+        raise AssertionError("classifier_confidence called on the cascade's own softmax")
+
+    monkeypatch.setattr(inference, "classifier_confidence", refuse)
+    assert results() == before

@@ -1,0 +1,44 @@
+"""Smoke run of the benchmark: its self-tests, then one short untraced run per workload.
+
+A rounding change that breaks one of the benchmark's correctness checks
+fails here, long before a timed run would show it.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "perfbench")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    SPEC = json.load(_fh)
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_selftest_passes():
+    done = _run(os.path.join(BENCH, "selftest.py"))
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in SPEC["workloads"]])
+def test_short_run_is_correct(workload):
+    done = _run(
+        os.path.join(BENCH, "run.py"),
+        "--workload", workload, "--seed", "2", "--seconds", "0.1", "--trace", "0",
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert sorted(metrics) == sorted(m["name"] for m in SPEC["end_to_end"])
+    assert all(math.isfinite(m["value"]) for m in metrics.values())

@@ -314,6 +314,40 @@ class TestNonFiniteGradient:
                 clip_gradients(params, 1.0)
         assert info.value.parameter is None
 
+    @staticmethod
+    def _poison(monkeypatch, target, call: int):
+        """Make ``target``'s gradient NaN after the ``call``-th backward pass."""
+        backward, calls = ag.backward, [0]
+
+        def poisoned(loss):
+            backward(loss)
+            calls[0] += 1
+            if calls[0] == call:
+                target.grad = np.full_like(target.data, np.nan)
+
+        monkeypatch.setattr(ag, "backward", poisoned)
+
+    # 40 images in batches of 16: three batches per epoch, so the fifth
+    # backward pass is epoch 2 batch 2 (stage 2's epoch 0 runs none).
+    def test_stage1_names_the_stage_epoch_and_batch(self, monkeypatch):
+        run, system, dataset = small_run()
+        target = dict(system.model.named_parameters())["block1.fc1.weight"]
+        self._poison(monkeypatch, target, 5)
+        message = "^stage 1 epoch 2 batch 2: gradient of 'block1.fc1.weight' is not finite"
+        with pytest.raises(NonFiniteGradientError, match=message) as info:
+            stage1_train(system.model, dataset, run.train)
+        assert (info.value.stage, info.value.epoch, info.value.batch) == (1, 2, 2)
+        assert info.value.parameter == "block1.fc1.weight"
+
+    def test_stage2_names_the_stage_epoch_and_batch(self, monkeypatch):
+        run, system, dataset = small_run()
+        name, target = next(iter(system.branches[1].named_parameters("branch1.")))
+        self._poison(monkeypatch, target, 5)
+        message = f"^stage 2 epoch 2 batch 2: gradient of '{re.escape(name)}' is not finite"
+        with pytest.raises(NonFiniteGradientError, match=message) as info:
+            stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        assert (info.value.stage, info.value.epoch, info.value.batch) == (2, 2, 2)
+
     def test_stage2_names_the_branch_and_leaves_weights_finite(self, monkeypatch):
         run, system, dataset = small_run(epochs2=1)
         named = dict(system.branches[1].named_parameters("branch1."))
