@@ -13,6 +13,8 @@ import numpy as np
 from .autograd import Tensor, no_grad
 from .vit import ViTModel, collect_taps
 
+PROBE_BATCH = 64  # images per no-grad pass in ``layer_feature_taps``
+
 
 class DegenerateFeaturesError(ValueError):
     """A feature matrix is all zeros after column centering."""
@@ -40,14 +42,14 @@ def cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(cross / (norm_x * norm_y))
 
 
-def layer_feature_taps(model: ViTModel, images: np.ndarray, batch_size: int = 64) -> list[np.ndarray]:
+def layer_feature_taps(model: ViTModel, images: np.ndarray) -> list[np.ndarray]:
     """Flattened token features [n, T*D] at every encoder layer, input to output."""
     model.eval()
     layers = tuple(range(1, model.config.layers + 1))
     chunks: list[list[np.ndarray]] = [[] for _ in layers]
     with no_grad():
-        for start in range(0, len(images), batch_size):
-            batch = Tensor(np.asarray(images[start : start + batch_size], dtype=np.float64))
+        for start in range(0, len(images), PROBE_BATCH):
+            batch = Tensor(np.asarray(images[start : start + PROBE_BATCH], dtype=np.float64))
             taps, _ = collect_taps(model, batch, layers)
             for parts, state in zip(chunks, taps.values()):
                 parts.append(state.tokens.data.reshape(len(batch.data), -1))
@@ -80,14 +82,13 @@ def attention_map_export(
     if not 1 <= layer <= model.config.layers:
         raise ValueError(f"layer {layer} out of range 1..{model.config.layers}")
     model.eval()
-    model.set_attention_recording(True)
-    try:
-        with no_grad():
-            model.forward_to_layer(Tensor(np.asarray(image, dtype=np.float64)[None, ...]), layer)
-        record = model.attention_records()[layer - 1]
-    finally:
-        model.set_attention_recording(False)
-    cls_row = record[0].mean(axis=0)[0]  # heads averaged, class-token query row
+    block = model.blocks[layer - 1]
+    with no_grad():
+        state = model.continue_forward(
+            model.embed(Tensor(np.asarray(image, dtype=np.float64)[None, ...])), layer - 1
+        )
+        weights = block.attn.weights(block.norm1(state.tokens)).data
+    cls_row = weights[0].mean(axis=0)[0]  # heads averaged, class-token query row
     side = model.config.tokens_per_side
     return cls_row[1:].reshape(side, side), float(cls_row[0])
 

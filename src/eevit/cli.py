@@ -122,10 +122,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_summary(summary) -> None:
+def _summary_record(summary) -> dict[str, float]:
+    """The fields ``eval`` and ``sweep`` print and write for a summary, in CSV column order."""
+    return {
+        "tau": summary.tau,
+        "accuracy": summary.accuracy,
+        "speedup": summary.speedup,
+        "expected_macs": summary.expected_macs,
+    }
+
+
+def _print_record(record: dict[str, float]) -> None:
     print(
-        f"tau={summary.tau} accuracy={summary.accuracy:.4f} "
-        f"speedup={summary.speedup:.4f} expected_macs={summary.expected_macs:.1f}"
+        f"tau={record['tau']} accuracy={record['accuracy']:.4f} "
+        f"speedup={record['speedup']:.4f} expected_macs={record['expected_macs']:.1f}"
     )
 
 
@@ -139,19 +149,11 @@ def _cmd_eval(args) -> int:
         system.model, system.branches, dataset.images, dataset.labels,
         policy, system.profile, system.placement,
     )
-    _print_summary(summary)
+    record = _summary_record(summary)
+    _print_record(record)
     os.makedirs(run.output_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(run.output_dir, "eval.txt"), timestamps=run.timestamps)
-    writer.write(
-        "eval",
-        0,
-        {
-            "tau": summary.tau,
-            "accuracy": summary.accuracy,
-            "speedup": summary.speedup,
-            "expected_macs": summary.expected_macs,
-        },
-    )
+    writer.write("eval", 0, record)
     return 0
 
 
@@ -169,24 +171,12 @@ def _cmd_sweep(args) -> int:
     )
     os.makedirs(run.output_dir, exist_ok=True)
     writer = MetricsWriter(os.path.join(run.output_dir, "sweep.txt"), timestamps=run.timestamps)
-    for step, summary in enumerate(summaries):
-        _print_summary(summary)
-        writer.write(
-            "sweep",
-            step,
-            {
-                "tau": summary.tau,
-                "accuracy": summary.accuracy,
-                "speedup": summary.speedup,
-                "expected_macs": summary.expected_macs,
-            },
-        )
+    records = [_summary_record(summary) for summary in summaries]
+    for step, record in enumerate(records):
+        _print_record(record)
+        writer.write("sweep", step, record)
     csv_path = args.csv or os.path.join(run.output_dir, "sweep.csv")
-    write_csv(
-        csv_path,
-        ["tau", "accuracy", "speedup", "expected_macs"],
-        [[s.tau, s.accuracy, s.speedup, s.expected_macs] for s in summaries],
-    )
+    write_csv(csv_path, list(records[0]), [list(record.values()) for record in records])
     print(f"wrote {csv_path}")
     return 0
 

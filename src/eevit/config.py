@@ -159,30 +159,27 @@ class RunConfig:
     def resolve(self) -> tuple[ExitPlacement, KernelSchedule, WindowSchedule]:
         """Derive the placement and head schedules, validating consistency."""
         ex = self.exits
-        if ex.positions is not None:
-            overrides = None
-            if ex.kinds is not None:
-                if len(ex.kinds) != len(ex.positions):
-                    raise ConfigError("exits.kinds must align with exits.positions")
-                overrides = dict(zip(ex.positions, ex.kinds))
-            placement = ExitPlacement.with_default_kinds(
-                self.model.layers, ex.positions, overrides
-            )
-        else:
-            profile = model_macs(self.model)
-            placement = place_exits(profile.per_block, ex.count)
+        positions = ex.positions
+        if positions is None:
+            positions = place_exits(model_macs(self.model).per_block, ex.count).positions
+        overrides = None
+        if ex.kinds is not None:
+            if len(ex.kinds) != len(positions):
+                raise ConfigError(f"exits.kinds must align with the {len(positions)} exit positions")
+            overrides = dict(zip(positions, ex.kinds))
+        placement = ExitPlacement.with_default_kinds(self.model.layers, positions, overrides)
         lph = placement.lph_positions()
         gah = placement.gah_positions()
         if ex.kernels is not None:
             if len(ex.kernels) != len(lph):
                 raise ConfigError("exits.kernels must align with the conv exits")
-            kernels = KernelSchedule(dict(zip(lph, ex.kernels)), ex.k_max)
+            kernels = KernelSchedule(dict(zip(lph, ex.kernels)))
         else:
             kernels = KernelSchedule.linear(lph, self.model.layers, ex.k_max)
         if ex.windows is not None:
             if len(ex.windows) != len(gah):
                 raise ConfigError("exits.windows must align with the attention exits")
-            windows = WindowSchedule(dict(zip(gah, ex.windows)), ex.g_max)
+            windows = WindowSchedule(dict(zip(gah, ex.windows)))
         else:
             windows = WindowSchedule.linear(gah, self.model.layers, ex.g_max)
         return placement, kernels, windows

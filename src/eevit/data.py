@@ -148,15 +148,19 @@ def quantize_to_bytes(pixels01: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(pixels01 * 255.0), 0, 255).astype(np.uint8)
 
 
+CROP_PAD = 4  # zero border added before a random crop back to the image size
+
+
 def augment_batch(
-    images: np.ndarray, rng: np.random.Generator, crop: bool, flip: bool, pad: int = 4
+    images: np.ndarray, rng: np.random.Generator, crop: bool, flip: bool
 ) -> np.ndarray:
-    """Random crop (zero padding) and horizontal flip, per sample."""
+    """Random crop (``CROP_PAD`` zero padding) and horizontal flip, per sample."""
     if not crop and not flip:
         return images
     out = images
     if crop:
         n, c, h, w = out.shape
+        pad = CROP_PAD
         padded = np.pad(out, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
         cropped = np.empty_like(out)

@@ -49,8 +49,6 @@ class AlignModule(Module):
                 f"no integer stride maps a {src_side}x{src_side} grid to {tgt_side}x{tgt_side}"
             )
         stride = src_side // tgt_side
-        self.stride = stride
-        self.target_tokens = target_tokens
         rng = np.random.default_rng(0)
         self.conv = DepthwiseConv2d(dim, stride, rng, stride=stride, padding=0)
         self.conv.weight.data = np.full((stride, stride, dim), 1.0 / (stride * stride))

@@ -135,7 +135,6 @@ class KernelSchedule:
     """Kernel size per convolutional exit position; non-increasing in depth."""
 
     kernels: dict[int, int]
-    k_max: int = 5
 
     def __post_init__(self):
         positions = sorted(self.kernels)
@@ -155,7 +154,7 @@ class KernelSchedule:
             raise ValueError("k_max must be an odd integer >= 3")
         positions = sorted(lph_positions)
         if not positions:
-            return cls({}, k_max)
+            return cls({})
         zero_at = layers_total / 2.0 + 1.0
         first = positions[0]
         span = zero_at - first
@@ -163,7 +162,7 @@ class KernelSchedule:
         for p in positions:
             raw = k_max if span <= 0 else k_max * (zero_at - p) / span
             kernels[p] = _nearest_odd_or_zero(raw)
-        return cls(kernels, k_max)
+        return cls(kernels)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ class WindowSchedule:
     """Pooling window per attention exit position; non-decreasing, minimum 2."""
 
     windows: dict[int, int]
-    g_max: int = 4
 
     def __post_init__(self):
         positions = sorted(self.windows)
@@ -191,7 +189,7 @@ class WindowSchedule:
             raise ValueError("g_max must be >= 2")
         positions = sorted(gah_positions)
         if not positions:
-            return cls({}, g_max)
+            return cls({})
         start = layers_total / 2.0 + 1.0
         end = layers_total - 1.0
         span = max(end - start, 1.0)
@@ -199,7 +197,7 @@ class WindowSchedule:
         for p in positions:
             raw = 2.0 + (g_max - 2.0) * (p - start) / span
             windows[p] = int(min(max(np.floor(raw), 2), g_max))
-        return cls(windows, g_max)
+        return cls(windows)
 
 
 def pool_token_grid(x: Tensor, window: int) -> Tensor:
@@ -250,7 +248,6 @@ class LocalPerceptionHead(Module):
     ):
         super().__init__()
         hidden = dim * expansion
-        self.kernel = kernel
         self.expand = _ConvStage(Linear(dim, hidden, rng), hidden)
         self.spatial = (
             _ConvStage(DepthwiseConv2d(hidden, kernel, rng), hidden) if kernel > 0 else None
@@ -267,7 +264,7 @@ class LocalPerceptionHead(Module):
         t = self.expand(patch_tokens)
         t = self.spatial_mix(t)
         fmap = self.project(t)
-        pooled = avg_pool_global(fmap, axis=1)
+        pooled = avg_pool_global(fmap)
         return pooled + cls_token, fmap
 
 
@@ -289,7 +286,7 @@ class GlobalAggregationHead(Module):
     def __call__(self, patch_tokens: Tensor, cls_token: Tensor) -> tuple[Tensor, Tensor]:
         pooled_tokens = pool_token_grid(patch_tokens, self.window)
         fmap = self.attn(pooled_tokens)
-        pooled = avg_pool_global(fmap, axis=1)
+        pooled = avg_pool_global(fmap)
         return pooled + cls_token, fmap
 
 
@@ -301,7 +298,7 @@ class PooledLinearHead(Module):
         self.fc = Linear(dim, dim, rng)
 
     def __call__(self, patch_tokens: Tensor, cls_token: Tensor) -> tuple[Tensor, Tensor]:
-        out = self.fc(avg_pool_global(patch_tokens, axis=1))
+        out = self.fc(avg_pool_global(patch_tokens))
         b, d = out.shape
         return out, out.reshape((b, 1, d))
 

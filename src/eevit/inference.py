@@ -35,7 +35,6 @@ from .costs import (
 )
 from .heads import ExitBranch, ExitPlacement
 from .layers import eval_mode
-from .losses import InvalidDistributionError
 from .vit import EncoderOutput, ViTModel
 
 CHUNK = 64  # images per cascade call on the dataset paths
@@ -76,14 +75,6 @@ class ExitPolicy:
         return np.where(fired.any(axis=0), fired.argmax(axis=0), len(confidences))
 
 
-def classifier_confidence(probs: np.ndarray):
-    """Probability of the most confident class of each distribution along the last axis."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs < 0) or np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-6):
-        raise InvalidDistributionError("confidence input is not a probability vector")
-    return probs.max(axis=-1)
-
-
 def _softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -91,11 +82,7 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
 
 
 def _confidence(logits: np.ndarray):
-    """Top-class softmax probability of finite logits.
-
-    ``classifier_confidence`` without its probability-vector check, which a
-    softmax of finite logits always passes.
-    """
+    """Top-class softmax probability of each row of finite logits."""
     return _softmax_np(logits).max(axis=-1)
 
 
@@ -115,9 +102,6 @@ class EvaluationSummary:
     histogram: ExitHistogram
     speedup: float
     expected_macs: float
-
-    def size(self) -> int:
-        return self.histogram.total()
 
 
 @dataclass(frozen=True)

@@ -141,22 +141,23 @@ class Linear(Module):
         return ag.linear(x, self.weight, self.bias)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then affine."""
     if x.shape[-1] == 0:
         raise EmptyAxisError("layer_norm over an empty axis")
-    return ag.layer_norm(x, gain, bias, eps)
+    return ag.layer_norm(x, gain, bias, LayerNorm.eps)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-12):
+    eps = 1e-12
+
+    def __init__(self, dim: int):
         super().__init__()
         self.gain = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
 
 def batch_norm(
@@ -166,15 +167,13 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-8,
 ) -> Tensor:
     """Channel-last batch normalization with running statistics.
 
     In training mode the batch statistics are used (over every axis but
     the last) and the running estimates are updated in place.  In eval
     mode, and for single-sample training batches, the running estimates
-    are used unchanged.
+    are used unchanged.  ``BatchNorm`` holds the momentum and epsilon.
     """
     if x.size == 0:
         raise EmptyAxisError("batch_norm on an empty tensor")
@@ -184,37 +183,32 @@ def batch_norm(
         mu = x.mean(axis=axes, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=axes, keepdims=True)
+        momentum = BatchNorm.momentum
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu.data.reshape(-1)
         running_var *= 1.0 - momentum
         running_var += momentum * var.data.reshape(-1)
-        normed = centered * ag.power(var + eps, -0.5)
+        normed = centered * ag.power(var + BatchNorm.eps, -0.5)
     else:
-        scale = 1.0 / np.sqrt(running_var + eps)
+        scale = 1.0 / np.sqrt(running_var + BatchNorm.eps)
         normed = (x - running_mean) * scale
     return normed * gain + bias
 
 
 class BatchNorm(Module):
-    def __init__(self, channels: int, eps: float = 1e-8, momentum: float = 0.1):
+    eps = 1e-8
+    momentum = 0.1
+
+    def __init__(self, channels: int):
         super().__init__()
         self.gain = Parameter(np.ones(channels))
         self.bias = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x: Tensor) -> Tensor:
         return batch_norm(
-            x,
-            self.gain,
-            self.bias,
-            self.running_mean,
-            self.running_var,
-            self.training,
-            self.momentum,
-            self.eps,
+            x, self.gain, self.bias, self.running_mean, self.running_var, self.training
         )
 
 
@@ -230,7 +224,6 @@ class DepthwiseConv2d(Module):
         padding: int | None = None,
     ):
         super().__init__()
-        self.kernel = kernel
         self.stride = stride
         self.padding = kernel // 2 if padding is None else padding
         self.weight = Parameter(trunc_normal(rng, (kernel, kernel, channels)))
@@ -241,11 +234,11 @@ class DepthwiseConv2d(Module):
         return ag.add(out, self.bias)
 
 
-def avg_pool_global(x: Tensor, axis: int = 1) -> Tensor:
-    """Mean over one axis (the token axis by default)."""
-    if x.shape[axis] == 0:
+def avg_pool_global(x: Tensor) -> Tensor:
+    """Mean over the token axis: [B, N, D] -> [B, D]."""
+    if x.shape[1] == 0:
         raise EmptyAxisError("global average pool over an empty axis")
-    return x.mean(axis=axis)
+    return x.mean(axis=1)
 
 
 def tokens_to_grid(x: Tensor) -> Tensor:

@@ -12,13 +12,9 @@ import time
 
 
 def format_record(
-    run_id: str,
-    phase: str,
-    epoch: int,
-    metrics: dict[str, float],
-    timestamp: float | None = None,
+    phase: str, epoch: int, metrics: dict[str, float], timestamp: float | None = None
 ) -> str:
-    parts = [f"run={run_id}", f"phase={phase}", f"epoch={epoch}"]
+    parts = ["run=run", f"phase={phase}", f"epoch={epoch}"]
     parts += [f"{key}={metrics[key]!r}" for key in sorted(metrics)]
     if timestamp is not None:
         parts.append(f"ts={timestamp:.6f}")
@@ -28,25 +24,16 @@ def format_record(
 class MetricsWriter:
     """Append-only metric stream bound to one file."""
 
-    def __init__(self, path: str | None, run_id: str = "run", timestamps: bool = False):
+    def __init__(self, path: str, timestamps: bool = False):
         self.path = path
-        self.run_id = run_id
         self.timestamps = timestamps
-        if path is not None:
-            with open(path, "w"):
-                pass
+        with open(path, "w"):
+            pass
 
     def write(self, phase: str, epoch: int, metrics: dict[str, float]) -> str:
-        line = format_record(
-            self.run_id,
-            phase,
-            epoch,
-            metrics,
-            timestamp=time.time() if self.timestamps else None,
-        )
-        if self.path is not None:
-            with open(self.path, "a") as fh:
-                fh.write(line + "\n")
+        line = format_record(phase, epoch, metrics, time.time() if self.timestamps else None)
+        with open(self.path, "a") as fh:
+            fh.write(line + "\n")
         return line
 
 

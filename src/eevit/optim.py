@@ -6,6 +6,9 @@ import numpy as np
 
 from .layers import Parameter
 
+BETAS = (0.9, 0.999)  # Adam's first- and second-moment decay
+EPS = 1e-8  # Adam's denominator floor
+
 
 class MissingGradientError(RuntimeError):
     """step() was called while a managed parameter has no gradient."""
@@ -24,8 +27,6 @@ class Optimizer:
         lr: float,
         kind: str = "adam",
         momentum: float = 0.9,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         if kind not in ("sgd", "adam"):
@@ -34,8 +35,6 @@ class Optimizer:
         self.lr = lr
         self.kind = kind
         self.momentum = momentum
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._state: list[dict[str, np.ndarray]] = [
@@ -68,7 +67,7 @@ class Optimizer:
                     update = p.grad
                 p.data = p.data - self.lr * update
         else:
-            b1, b2 = self.betas
+            b1, b2 = BETAS
             bc1 = 1.0 - b1**self.t
             bc2 = 1.0 - b2**self.t
             for p, st in zip(self.params, self._state):
@@ -76,5 +75,5 @@ class Optimizer:
                 st["v"] = b2 * st["v"] + (1.0 - b2) * p.grad**2
                 m_hat = st["m"] / bc1
                 v_hat = st["v"] / bc2
-                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         self.zero_grad()

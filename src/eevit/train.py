@@ -462,8 +462,6 @@ def stage2_train(
     backbone_before = {name: p.data.copy() for name, p in model.named_parameters()}
 
     model.eval()
-    for branch in branches:
-        branch.train()
     # Named as in the checkpoint (branch0.head...), which errors report.
     branch_params = [
         p for i, b in enumerate(branches) for _, p in b.named_parameters(f"branch{i}.")
@@ -476,23 +474,15 @@ def stage2_train(
         )
 
     history = []
-    baseline_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, 0]))
-    baseline = _epoch_pass(
-        model, branches, align_modules, dataset, cfg, placement, use_distillation,
-        opt=None, rng=baseline_rng, epoch=0, table=table, augment=augment,
-    )
-    history.append(baseline)
-    if writer is not None:
-        writer.write("stage2", 0, baseline)
-
-    for epoch in range(1, cfg.epochs_stage2 + 1):
+    for epoch in range(cfg.epochs_stage2 + 1):  # epoch 0 measures, without updates
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, epoch]))
-        opt.lr = cfg.stage2_lr(epoch)
+        if epoch:
+            opt.lr = cfg.stage2_lr(epoch)
         for branch in branches:
             branch.train()
         record = _epoch_pass(
             model, branches, align_modules, dataset, cfg, placement, use_distillation,
-            opt=opt, rng=rng, epoch=epoch, table=table, augment=augment,
+            opt=opt if epoch else None, rng=rng, epoch=epoch, table=table, augment=augment,
         )
         history.append(record)
         if writer is not None:

@@ -70,11 +70,7 @@ class EncoderOutput:
 
 
 class MultiHeadSelfAttention(Module):
-    """Scaled dot-product attention with per-head projections and output map.
-
-    The most recent attention weights are kept on ``last_attention`` as
-    a detached [batch, heads, T, T] array when ``record`` is set.
-    """
+    """Scaled dot-product attention with per-head projections and output map."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
@@ -87,21 +83,22 @@ class MultiHeadSelfAttention(Module):
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
-        self.record = False
-        self.last_attention: np.ndarray | None = None
 
     def _split(self, x: Tensor, b: int, t: int) -> Tensor:
         return x.reshape((b, t, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def weights(self, x: Tensor) -> Tensor:
+        """Attention weights [batch, heads, T, T]; each query row sums to one."""
         b, t, _ = x.shape
         q = self._split(self.wq(x), b, t)
         k = self._split(self.wk(x), b, t)
-        v = self._split(self.wv(x), b, t)
         scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-        attn = ag.softmax(scores, axis=-1)
-        if self.record:
-            self.last_attention = attn.data.copy()
+        return ag.softmax(scores, axis=-1)
+
+    def __call__(self, x: Tensor) -> Tensor:
+        b, t, _ = x.shape
+        attn = self.weights(x)
+        v = self._split(self.wv(x), b, t)
         mixed = ag.matmul(attn, v)
         merged = mixed.transpose((0, 2, 1, 3)).reshape((b, t, self.dim))
         return self.wo(merged)
@@ -194,14 +191,6 @@ class ViTModel(Module):
 
     def forward(self, images: Tensor) -> Tensor:
         return self.final_classifier(self.forward_to_layer(images, self.config.layers))
-
-    def set_attention_recording(self, on: bool) -> None:
-        for block in self.blocks:
-            block.attn.record = on
-
-    def attention_records(self) -> list[np.ndarray | None]:
-        """Per-layer attention weights from the most recent recorded pass."""
-        return [block.attn.last_attention for block in self.blocks]
 
 
 def collect_taps(

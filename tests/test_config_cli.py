@@ -103,6 +103,17 @@ class TestValidation:
         assert len(placement.positions) == 3
         assert placement.positions[-1] < 8
 
+    def test_kinds_apply_to_auto_placement(self):
+        run = build_run_config({"exits.positions": "auto", "exits.kinds": "mlp,mlp,mlp,mlp"})
+        placement, _, _ = run.resolve()
+        assert placement.positions == (1, 2, 4, 6)
+        assert placement.kinds == ("mlp",) * 4
+
+    @pytest.mark.parametrize("kinds", ["mlp", "lph,lph,gah,gah,gah"])
+    def test_kinds_misaligned_with_auto_placement_rejected(self, kinds):
+        with pytest.raises(ConfigError, match="exits.kinds"):
+            build_run_config({"exits.positions": "auto", "exits.kinds": kinds})
+
     def test_explicit_schedules(self):
         run = build_run_config({"exits.kernels": "5,5", "exits.windows": "2,2"})
         _, kernels, windows = run.resolve()
@@ -148,6 +159,10 @@ class TestCli:
         monkeypatch.setattr("eevit.cli.build_system", no_weights)
         assert main(["macs", "--config", self._conf(tmp_path), "--set", "exits.positions=auto"]) == 0
         assert "total_gmacs" in capsys.readouterr().out
+
+    def test_macs_misaligned_auto_kinds_validation_exit_code(self, tmp_path):
+        args = ["--set", "exits.positions=auto", "--set", "exits.kinds=mlp"]
+        assert main(["macs", "--config", self._conf(tmp_path), *args]) == 1
 
     def test_invalid_tau_validation_exit_code(self, tmp_path):
         conf = self._conf(tmp_path)

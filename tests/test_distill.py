@@ -41,8 +41,8 @@ class TestAlignModule:
 
     def test_sixteen_to_four_uses_stride_two(self):
         align = AlignModule(dim=4, source_tokens=16, target_tokens=4)
-        assert align.stride == 2
-        assert align.conv.kernel == 2
+        assert align.conv.stride == 2
+        assert align.conv.weight.shape[:2] == (2, 2)
 
     def test_constant_input_averaging_kernel_gives_constant(self):
         align = AlignModule(dim=2, source_tokens=16, target_tokens=4)

@@ -161,11 +161,11 @@ class TestLocalPerceptionHead:
 class TestGlobalAggregationHead:
     def test_single_token_trivial_attention(self, rng):
         head = GlobalAggregationHead(4, window=4, heads=1, rng=rng)
-        head.attn.record = True
         tokens = Tensor(rng.standard_normal((2, 16, 4)))
         cls = rng.standard_normal((2, 4))
         out, fmap = head(tokens, Tensor(cls))
-        np.testing.assert_allclose(head.attn.last_attention, 1.0, atol=1e-15)
+        weights = head.attn.weights(pool_token_grid(tokens, head.window))
+        np.testing.assert_allclose(weights.data, 1.0, atol=1e-15)
         mean_token = tokens.data.mean(axis=1)
         expect = (mean_token @ head.attn.wv.weight.data + head.attn.wv.bias.data) \
             @ head.attn.wo.weight.data + head.attn.wo.bias.data + cls
@@ -173,11 +173,10 @@ class TestGlobalAggregationHead:
 
     def test_identical_tokens_give_uniform_attention(self, rng):
         head = GlobalAggregationHead(4, window=2, heads=2, rng=rng)
-        head.attn.record = True
         token = rng.standard_normal(4)
         tokens = Tensor(np.tile(token, (1, 16, 1)))
-        head(tokens, Tensor(np.zeros((1, 4))))
-        np.testing.assert_allclose(head.attn.last_attention, 0.25, atol=1e-12)
+        weights = head.attn.weights(pool_token_grid(tokens, head.window))
+        np.testing.assert_allclose(weights.data, 0.25, atol=1e-12)
 
     def test_matches_hand_evaluation(self, rng):
         # N=16, s=2, one head: window means, then plain scaled dot-product
@@ -371,7 +370,7 @@ class TestExitBranch:
         cfg = ViTConfig()
         placement = ExitPlacement.with_default_kinds(8, (2,))
         branches = build_exit_branches(
-            cfg, placement, KernelSchedule.linear([2], 8), WindowSchedule({}, 4), rng
+            cfg, placement, KernelSchedule.linear([2], 8), WindowSchedule({}), rng
         )
         with pytest.raises(ValueError):
             branches[0](EncoderOutput(Tensor(rng.standard_normal((1, 17, 64))), 3))

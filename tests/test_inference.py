@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from eevit.autograd import Tensor, no_grad
 from eevit.config import build_run_config, build_system
 from eevit.costs import ExitHistogram, expected_macs, speedup
-from eevit import inference
 from eevit.data import build_dataset
 from eevit.layers import Module
 from eevit.inference import (
@@ -18,12 +17,10 @@ from eevit.inference import (
     ExitPolicy,
     NonFiniteLogitsError,
     cascade,
-    classifier_confidence,
     evaluate_dataset,
     infer_early_exit,
     threshold_sweep,
 )
-from eevit.losses import InvalidDistributionError
 from eevit.train import stage1_train, stage2_train
 
 
@@ -50,21 +47,6 @@ def trained():
     stage1_train(system.model, dataset, run.train)
     stage2_train(system.model, system.branches, dataset, run.train, system.placement)
     return run, system, dataset
-
-
-class TestConfidence:
-    def test_uniform_hundred_classes(self):
-        assert classifier_confidence(np.full(100, 0.01)) == pytest.approx(0.01)
-
-    def test_simple_max(self):
-        assert classifier_confidence(np.array([0.7, 0.2, 0.1])) == 0.7
-
-    def test_one_hot(self):
-        assert classifier_confidence(np.array([0.0, 1.0, 0.0])) == 1.0
-
-    def test_invalid_distribution(self):
-        with pytest.raises(InvalidDistributionError):
-            classifier_confidence(np.array([0.9, 0.4]))
 
 
 class TestPolicy:
@@ -332,25 +314,3 @@ class TestSweep:
                 [], system.profile, system.placement,
             )
 
-
-def test_own_softmax_is_not_revalidated(trained, monkeypatch):
-    """The cascade's confidences skip ``classifier_confidence``'s check, with the same values."""
-    run, system, dataset = trained
-    args = (system.profile, system.placement)
-    taus = [0.0, 0.7, 0.9, 1.01]
-
-    def results():
-        singles = [
-            infer_early_exit(system.model, system.branches, image, ExitPolicy(0.7), *args)
-            for image in dataset.images[:8]
-        ]
-        sweep = threshold_sweep(system.model, system.branches, dataset.images, dataset.labels, taus, *args)
-        return [(r.exit_layer, r.predicted_label, r.confidence, r.macs) for r in singles], sweep
-
-    before = results()
-
-    def refuse(probs):
-        raise AssertionError("classifier_confidence called on the cascade's own softmax")
-
-    monkeypatch.setattr(inference, "classifier_confidence", refuse)
-    assert results() == before

@@ -1,7 +1,10 @@
-"""Smoke run of the benchmark: its self-tests, then one short untraced run per workload.
+"""Smoke run of the benchmark: its self-tests, one short untraced run per
+workload, and one short traced run.
 
 A rounding change that breaks one of the benchmark's correctness checks
-fails here, long before a timed run would show it.
+fails here, long before a timed run would show it.  The traced run wraps
+library functions that the benchmark looks up by name, so it also fails
+when one of them is renamed or deleted.
 """
 
 import json
@@ -41,4 +44,18 @@ def test_short_run_is_correct(workload):
     assert result["failed"] == 0
     metrics = result["metrics"]
     assert sorted(metrics) == sorted(m["name"] for m in SPEC["end_to_end"])
+    assert all(math.isfinite(m["value"]) for m in metrics.values())
+
+
+def test_short_traced_run_reports_every_layer_metric():
+    done = _run(
+        os.path.join(BENCH, "run.py"),
+        "--workload", "sweep_batched", "--seed", "2", "--seconds", "0.1", "--trace", "1",
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert sorted(metrics) == sorted(m["name"] for m in SPEC["per_layer"])
     assert all(math.isfinite(m["value"]) for m in metrics.values())

@@ -51,21 +51,18 @@ class TestPatchify:
 class TestAttention:
     def test_single_token_attention_is_one(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng)
-        attn.record = True
         x = Tensor(rng.standard_normal((2, 1, 8)))
         out = attn(x)
-        np.testing.assert_allclose(attn.last_attention, 1.0, atol=1e-15)
+        np.testing.assert_allclose(attn.weights(x).data, 1.0, atol=1e-15)
         # with T=1 the output is x W_V W_O plus biases
         expect = ag.matmul(ag.matmul(x, attn.wv.weight) + attn.wv.bias, attn.wo.weight) + attn.wo.bias
         np.testing.assert_allclose(out.data, expect.data, rtol=1e-12)
 
     def test_identical_tokens_give_uniform_rows(self, rng):
         attn = MultiHeadSelfAttention(8, 2, rng)
-        attn.record = True
         token = rng.standard_normal(8)
         x = Tensor(np.tile(token, (1, 5, 1)))
-        attn(x)
-        np.testing.assert_allclose(attn.last_attention, 1.0 / 5.0, atol=1e-12)
+        np.testing.assert_allclose(attn.weights(x).data, 1.0 / 5.0, atol=1e-12)
 
     def test_hand_evaluated_two_tokens(self, rng):
         # Single head, D=2: compare against a direct numpy evaluation of
@@ -89,10 +86,11 @@ class TestAttention:
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
     def test_rows_sum_to_one_every_layer(self, tiny_model, rng):
-        tiny_model.set_attention_recording(True)
-        tiny_model.forward(Tensor(rng.standard_normal((2, 3, 16, 16))))
-        for record in tiny_model.attention_records():
-            np.testing.assert_allclose(record.sum(axis=-1), 1.0, atol=1e-9)
+        tokens = tiny_model.embed(Tensor(rng.standard_normal((2, 3, 16, 16)))).tokens
+        for block in tiny_model.blocks:
+            weights = block.attn.weights(block.norm1(tokens))
+            np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-9)
+            tokens = block(tokens)
 
 
 class TestPrefixSemantics:
