@@ -92,9 +92,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -27,8 +27,6 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
         fh.write(bytes([VERSION]))
         for name in sorted(state):
             arr = np.asarray(state[name], dtype="<f8")
-            if arr.ndim and not arr.flags.c_contiguous:
-                arr = np.ascontiguousarray(arr)
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<Q", len(encoded)))
             fh.write(encoded)

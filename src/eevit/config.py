@@ -170,18 +170,17 @@ class RunConfig:
         placement = ExitPlacement.with_default_kinds(self.model.layers, positions, overrides)
         lph = placement.lph_positions()
         gah = placement.gah_positions()
+        # The linear schedules check k_max and g_max even where an explicit list replaces them.
+        kernels = KernelSchedule.linear(lph, self.model.layers, ex.k_max)
         if ex.kernels is not None:
             if len(ex.kernels) != len(lph):
                 raise ConfigError("exits.kernels must align with the conv exits")
             kernels = KernelSchedule(dict(zip(lph, ex.kernels)))
-        else:
-            kernels = KernelSchedule.linear(lph, self.model.layers, ex.k_max)
+        windows = WindowSchedule.linear(gah, self.model.layers, ex.g_max)
         if ex.windows is not None:
             if len(ex.windows) != len(gah):
                 raise ConfigError("exits.windows must align with the attention exits")
             windows = WindowSchedule(dict(zip(gah, ex.windows)))
-        else:
-            windows = WindowSchedule.linear(gah, self.model.layers, ex.g_max)
         return placement, kernels, windows
 
 

@@ -88,19 +88,6 @@ class Module:
         state.update({name: b.copy() for name, b in self.named_buffers()})
         return state
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.named_parameters():
-            if name not in state:
-                raise KeyError(f"missing parameter {name!r}")
-            if state[name].shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            p.data = state[name].astype(np.float64).copy()
-            p.grad = None
-        for name, b in self.named_buffers():
-            if name not in state:
-                raise KeyError(f"missing buffer {name!r}")
-            b[...] = state[name]
-
     def train(self, mode: bool = True):
         self.training = mode
         for child in self._children.values():

@@ -33,6 +33,7 @@ from .distill import (
 )
 from .heads import ExitBranch, ExitPlacement, pooled_token_count
 from .inference import cascade
+from .layers import Module
 from .losses import cross_entropy
 from .metrics import MetricsWriter
 from .optim import Optimizer
@@ -71,12 +72,6 @@ class NonFiniteGradientError(FloatingPointError):
 
 class StateShapeError(LookupError):
     """A checkpoint entry's shape differs from the configured system's."""
-
-
-def _check_finite(value: float, stage: int, epoch: int, batch: int) -> float:
-    if not math.isfinite(value):
-        raise NonFiniteLossError(stage, epoch, batch, value)
-    return value
 
 
 @dataclass
@@ -179,18 +174,6 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
-def _update(
-    opt: Optimizer, loss: Tensor, max_norm: float, stage: int, epoch: int, batch: int
-) -> None:
-    """Backpropagate, clip and step; a non-finite gradient names the stage, epoch and batch."""
-    ag.backward(loss)
-    try:
-        clip_gradients(opt.params, max_norm)
-    except NonFiniteGradientError as exc:
-        raise NonFiniteGradientError(exc.parameter, exc.norm, stage, epoch, batch) from None
-    opt.step()
-
-
 def make_optimizer(params, lr: float, cfg: TrainConfig, kind: str | None = None) -> Optimizer:
     return Optimizer(
         params,
@@ -201,11 +184,14 @@ def make_optimizer(params, lr: float, cfg: TrainConfig, kind: str | None = None)
     )
 
 
+def _parts(model: ViTModel, branches: list[ExitBranch] | None) -> list[tuple[str, Module]]:
+    """Each part of the system with its checkpoint prefix: ``model``, ``branch0``, ..."""
+    return [("model", model)] + [(f"branch{i}", b) for i, b in enumerate(branches or [])]
+
+
 def full_state(model: ViTModel, branches: list[ExitBranch] | None = None) -> dict[str, np.ndarray]:
-    state = {f"model.{k}": v for k, v in model.state_dict().items()}
-    for i, branch in enumerate(branches or []):
-        state.update({f"branch{i}.{k}": v for k, v in branch.state_dict().items()})
-    return state
+    parts = _parts(model, branches)
+    return {f"{part}.{k}": v for part, module in parts for k, v in module.state_dict().items()}
 
 
 def load_full_state(
@@ -215,33 +201,73 @@ def load_full_state(
 
     An entry that no part consumes or a missing one raises ``KeyError``,
     and an entry of another shape ``StateShapeError``; both name the part
-    (``branch0``), and the system is left unchanged.
+    (``branch0``), and the system is left unchanged.  Each parameter then
+    gets a fresh float64 copy and no gradient; each buffer is written in
+    place.
     """
-    parts = [("model", model)] + [(f"branch{i}", b) for i, b in enumerate(branches or [])]
     expected = {}
-    for part, module in parts:
+    for part, module in _parts(model, branches):
         for kind, named in (
             ("parameter", module.named_parameters()),
             ("buffer", module.named_buffers()),
         ):
-            for name, value in named:
-                expected[f"{part}.{name}"] = (part, kind, name, value.shape)
+            for name, target in named:
+                expected[f"{part}.{name}"] = (part, kind, name, target)
     for key in state:
         if key not in expected:
             raise KeyError(f"unexpected entry {key!r}")
-    for key, (part, kind, name, shape) in expected.items():
+    for key, (part, kind, name, target) in expected.items():
         if key not in state:
             raise KeyError(f"{part}: missing {kind} {name!r}")
-        if state[key].shape != shape:
+        if state[key].shape != target.shape:
             raise StateShapeError(
                 f"{part}: shape mismatch for {name!r}: "
-                f"checkpoint {state[key].shape}, system {shape}"
+                f"checkpoint {state[key].shape}, system {target.shape}"
             )
-    for part, module in parts:
-        prefix = part + "."
-        module.load_state_dict(
-            {k[len(prefix) :]: v for k, v in state.items() if k.startswith(prefix)}
-        )
+    for key, (_, kind, _, target) in expected.items():
+        if kind == "parameter":
+            target.data = state[key].astype(np.float64)
+            target.grad = None
+        else:
+            target[...] = state[key]
+
+
+def _epoch_pass(
+    dataset: LabeledDataset, cfg: TrainConfig, stage: int, epoch: int, step,
+    opt: Optimizer | None, accuracy_names: list[str],
+) -> dict[str, float]:
+    """One seeded pass over ``dataset`` in ``cfg.batch_size`` batches; the one epoch loop.
+
+    ``step(idx, rng)`` computes batch ``idx`` and returns its loss, its
+    scalars and one row of predictions per accuracy name.  A non-finite
+    loss or gradient names the stage, epoch and batch.  With an
+    optimizer, each batch is backpropagated, clipped and stepped.  The
+    record holds the per-sample mean of every scalar, then each accuracy.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stage, epoch]))
+    sums: dict[str, float] = {}
+    hits = np.zeros(len(accuracy_names), dtype=np.int64)
+    seen = 0
+    for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
+        loss, scalars, preds = step(idx, rng)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NonFiniteLossError(stage, epoch, batch, value)
+        if opt is not None:
+            ag.backward(loss)
+            try:
+                clip_gradients(opt.params, cfg.clip_norm)
+            except NonFiniteGradientError as exc:
+                raise NonFiniteGradientError(exc.parameter, exc.norm, stage, epoch, batch) from None
+            opt.step()
+        for key, value in scalars.items():
+            sums[key] = sums.get(key, 0.0) + value * len(idx)
+        hits += (preds == dataset.labels[idx]).sum(axis=1)
+        seen += len(idx)
+    record = {key: value / seen for key, value in sums.items()}
+    for name, h in zip(accuracy_names, hits):
+        record[name] = int(h) / seen
+    return record
 
 
 def stage1_train(
@@ -256,21 +282,16 @@ def stage1_train(
     model.train()
     opt = make_optimizer(model.parameters(), cfg.lr_stage1, cfg)
     crop, flip = augment
+
+    def step(idx, rng):
+        images = augment_batch(dataset.images[idx], rng, crop, flip)
+        logits = model.forward(Tensor(images))
+        loss = cross_entropy(logits, dataset.labels[idx])
+        return loss, {"loss_ce": loss.item()}, logits.data.argmax(axis=-1)[None]
+
     history = []
     for epoch in range(1, cfg.epochs_stage1 + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, epoch]))
-        losses, hits, seen = 0.0, 0, 0
-        for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
-            images = augment_batch(dataset.images[idx], rng, crop, flip)
-            labels = dataset.labels[idx]
-            logits = model.forward(Tensor(images))
-            loss = cross_entropy(logits, labels)
-            value = _check_finite(loss.item(), 1, epoch, batch)
-            _update(opt, loss, cfg.clip_norm, 1, epoch, batch)
-            losses += value * len(idx)
-            hits += int((logits.data.argmax(axis=-1) == labels).sum())
-            seen += len(idx)
-        record = {"loss_ce": losses / seen, "train_acc": hits / seen}
+        record = _epoch_pass(dataset, cfg, 1, epoch, step, opt, ["train_acc"])
         history.append(record)
         if writer is not None:
             writer.write("stage1", epoch, record)
@@ -287,22 +308,15 @@ def build_align_modules(
     """One aligning module per heterogeneous-distillation ordinal.
 
     Targets must match each exit's pre-pool token count: the full grid
-    for conv and baseline heads, the window-pooled grid for attention
-    heads.  The modules are detached teachers and are never optimized.
+    for conv heads, the window-pooled grid for attention heads.  The
+    modules are detached teachers and are never optimized.
     """
     n = model.config.num_patches
     modules: dict[int, AlignModule] = {}
     for ordinal in heterogeneous_ordinals(placement.count):
         branch = branches[ordinal - 1]
-        if branch.kind == "gah":
-            target = pooled_token_count(n, branch.head.window)
-        elif branch.kind == "mlp":
-            target = 1
-        else:
-            target = n
-        module = AlignModule(model.config.dim, n, target)
-        module.eval()
-        modules[ordinal] = module
+        target = pooled_token_count(n, branch.head.window) if branch.kind == "gah" else n
+        modules[ordinal] = AlignModule(model.config.dim, n, target).eval()
     return modules
 
 
@@ -381,39 +395,6 @@ def _frozen_table(
     )
 
 
-def _epoch_pass(
-    model, branches, align_modules, dataset, cfg, placement, use_distillation,
-    opt: Optimizer | None, rng: np.random.Generator, epoch: int, table: FrozenOutputs | None,
-    augment=(False, False),
-) -> dict[str, float]:
-    """One pass over the dataset; the frozen outputs come from ``table`` or, with none, per batch."""
-    crop, flip = augment
-    sums: dict[str, float] = {}
-    hits = np.zeros(len(branches), dtype=np.int64)
-    seen = 0
-    for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
-        if table is not None:
-            frozen = table.rows(idx)
-        else:
-            images = augment_batch(dataset.images[idx], rng, crop, flip)
-            frozen = frozen_outputs(model, images, placement.positions, align_modules)
-        labels = dataset.labels[idx]
-        objective, scalars, preds = stage2_batch_losses(
-            branches, frozen, labels, cfg, placement, use_distillation
-        )
-        _check_finite(scalars["objective"], 2, epoch, batch)
-        if opt is not None:
-            _update(opt, objective, cfg.clip_norm, 2, epoch, batch)
-        for key, value in scalars.items():
-            sums[key] = sums.get(key, 0.0) + value * len(idx)
-        hits += (preds == labels).sum(axis=1)
-        seen += len(idx)
-    record = {key: value / seen for key, value in sums.items()}
-    for i, branch in enumerate(branches):
-        record[f"exit{i + 1}_acc"] = int(hits[i]) / seen
-    return record
-
-
 def exit_accuracies(
     model: ViTModel,
     branches: list[ExitBranch],
@@ -464,7 +445,7 @@ def stage2_train(
     model.eval()
     # Named as in the checkpoint (branch0.head...), which errors report.
     branch_params = [
-        p for i, b in enumerate(branches) for _, p in b.named_parameters(f"branch{i}.")
+        p for part, b in _parts(model, branches)[1:] for _, p in b.named_parameters(f"{part}.")
     ]
     opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
     table = None
@@ -472,18 +453,26 @@ def stage2_train(
         table = _frozen_table(
             model, dataset.images, cfg.batch_size, placement.positions, align_modules
         )
+    crop, flip = augment
 
+    def step(idx, rng):
+        if table is not None:
+            frozen = table.rows(idx)
+        else:
+            images = augment_batch(dataset.images[idx], rng, crop, flip)
+            frozen = frozen_outputs(model, images, placement.positions, align_modules)
+        return stage2_batch_losses(
+            branches, frozen, dataset.labels[idx], cfg, placement, use_distillation
+        )
+
+    names = [f"exit{i + 1}_acc" for i in range(len(branches))]
     history = []
     for epoch in range(cfg.epochs_stage2 + 1):  # epoch 0 measures, without updates
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, epoch]))
         if epoch:
             opt.lr = cfg.stage2_lr(epoch)
         for branch in branches:
             branch.train()
-        record = _epoch_pass(
-            model, branches, align_modules, dataset, cfg, placement, use_distillation,
-            opt=opt if epoch else None, rng=rng, epoch=epoch, table=table, augment=augment,
-        )
+        record = _epoch_pass(dataset, cfg, 2, epoch, step, opt if epoch else None, names)
         history.append(record)
         if writer is not None:
             writer.write("stage2", epoch, record)

@@ -16,7 +16,11 @@ class TestRoundTrip:
             "matrix": rng.standard_normal((3, 5)),
             "tensor4": rng.standard_normal((2, 3, 4, 5)),
             "weird/name.with.dots": rng.standard_normal(2),
+            "transposed": rng.standard_normal((4, 6)).T,
+            "strided": rng.standard_normal((5, 8))[::2, 1::3],
         }
+        assert not state["transposed"].flags.c_contiguous
+        assert not state["strided"].flags.c_contiguous
         path = tmp_path / "state.ckpt"
         save_checkpoint(str(path), state)
         loaded = load_checkpoint(str(path))

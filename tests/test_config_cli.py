@@ -128,6 +128,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="exits.kernels"):
             build_run_config({"exits.kernels": "5,x"})
 
+    @pytest.mark.parametrize("key, value", [("k_max", "4"), ("g_max", "1")])
+    def test_schedule_maximum_checked_beside_explicit_lists(self, key, value):
+        entries = {"exits.kernels": "5,3", "exits.windows": "2,2", f"exits.{key}": value}
+        with pytest.raises(ConfigError, match=key):
+            build_run_config(entries)
+
 
 class TestCli:
     def _conf(self, tmp_path, extra=""):
@@ -162,6 +168,12 @@ class TestCli:
 
     def test_macs_misaligned_auto_kinds_validation_exit_code(self, tmp_path):
         args = ["--set", "exits.positions=auto", "--set", "exits.kinds=mlp"]
+        assert main(["macs", "--config", self._conf(tmp_path), *args]) == 1
+
+    @pytest.mark.parametrize("key, value", [("k_max", "4"), ("g_max", "1")])
+    def test_macs_invalid_schedule_maximum_exit_code(self, tmp_path, key, value):
+        args = ["--set", "exits.kernels=5,3", "--set", "exits.windows=2,2"]
+        args += ["--set", f"exits.{key}={value}"]
         assert main(["macs", "--config", self._conf(tmp_path), *args]) == 1
 
     def test_invalid_tau_validation_exit_code(self, tmp_path):

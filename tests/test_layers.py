@@ -19,6 +19,7 @@ from eevit.layers import (
     layer_norm,
     tokens_to_grid,
 )
+from eevit.train import StateShapeError, load_full_state
 
 from conftest import FD_TOL, grad_check
 
@@ -130,17 +131,17 @@ class TestModuleRegistry:
         state = net.state_dict()
         assert "norm.running_mean" in state and "norm.running_var" in state
         net2 = Net()
-        net2.load_state_dict(state)
+        load_full_state({f"model.{k}": v for k, v in state.items()}, net2)
         for key, value in net2.state_dict().items():
             np.testing.assert_array_equal(value, state[key])
 
     def test_load_rejects_missing_and_mismatched(self, rng):
         lin = Linear(3, 2, rng)
         with pytest.raises(KeyError):
-            lin.load_state_dict({})
-        bad = {name: np.zeros((9, 9)) for name, _ in lin.named_parameters()}
-        with pytest.raises(ValueError):
-            lin.load_state_dict(bad)
+            load_full_state({}, lin)
+        bad = {f"model.{name}": np.zeros((9, 9)) for name, _ in lin.named_parameters()}
+        with pytest.raises(StateShapeError):
+            load_full_state(bad, lin)
 
     def test_parameter_gradient_shape_contract(self, rng):
         p = Parameter(rng.standard_normal((3, 4)))

@@ -1,10 +1,12 @@
 """Smoke run of the benchmark: its self-tests, one short untraced run per
-workload, and one short traced run.
+workload, and short traced runs of ``sweep_batched`` and ``train_two_stage``.
 
 A rounding change that breaks one of the benchmark's correctness checks
-fails here, long before a timed run would show it.  The traced run wraps
-library functions that the benchmark looks up by name, so it also fails
-when one of them is renamed or deleted.
+fails here, long before a timed run would show it.  The traced runs wrap
+library functions that the benchmark looks up by name, so they also fail
+when one of them is renamed or deleted.  A wrapped name the library stops
+calling through ``train``'s module globals reads 0 instead, so the traced
+training run also checks that each training metric counted some work.
 """
 
 import json
@@ -47,10 +49,25 @@ def test_short_run_is_correct(workload):
     assert all(math.isfinite(m["value"]) for m in metrics.values())
 
 
-def test_short_traced_run_reports_every_layer_metric():
+# Per-layer metrics each traced workload must see above 0.
+CALLED = {
+    "sweep_batched": [],
+    "train_two_stage": [
+        "autograd.backward_ms",
+        "autograd.tape_nodes",
+        "optim.step_ms",
+        "train.collect_taps_calls",
+        "distill.loss_ms",
+        "checkpoint.save_ms",
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(CALLED))
+def test_short_traced_run_reports_every_layer_metric(workload):
     done = _run(
         os.path.join(BENCH, "run.py"),
-        "--workload", "sweep_batched", "--seed", "2", "--seconds", "0.1", "--trace", "1",
+        "--workload", workload, "--seed", "2", "--seconds", "0.1", "--trace", "1",
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -59,3 +76,5 @@ def test_short_traced_run_reports_every_layer_metric():
     metrics = result["metrics"]
     assert sorted(metrics) == sorted(m["name"] for m in SPEC["per_layer"])
     assert all(math.isfinite(m["value"]) for m in metrics.values())
+    for name in CALLED[workload]:
+        assert metrics[name]["value"] > 0, name
