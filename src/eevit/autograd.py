@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -588,6 +589,81 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     return _result(out, (x, gain, bias), grad_fn)
 
 
+def batch_norm(
+    x,
+    gain,
+    bias,
+    running_mean: Array,
+    running_var: Array,
+    training: bool,
+    momentum: float,
+    eps: float,
+) -> Tensor:
+    """Normalize each channel (last axis) over every other axis, then ``* gain + bias``.
+
+    One graph node, bitwise equal to the nine composed ops it replaces, in
+    output, gradients and running statistics.  With batch statistics
+    (training on more than one sample) the forward does their arithmetic
+    in their order (mean, centre, mean of squares, ``r = (var + eps) **
+    -0.5``, scale, affine) and updates the running estimates in place; the
+    backward replays their chain rule in tape order.  Otherwise ``r = 1 /
+    sqrt(running_var + eps)`` scales ``x - running_mean`` and the input
+    gradient is ``g * gain * r``.
+    """
+    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    xd, gd, bd = x.data, gain.data, bias.data
+    if xd.ndim < 2 or any(
+        v.shape != xd.shape[-1:] for v in (gd, bd, running_mean, running_var)
+    ):
+        raise ShapeMismatchError(
+            f"batch_norm over {xd.shape}: gain {gd.shape}, bias {bd.shape}, "
+            f"running {running_mean.shape}, {running_var.shape}"
+        )
+    axes = tuple(range(xd.ndim - 1))
+    batch_stats = training and xd.shape[0] > 1
+    if batch_stats:
+        count = xd.size // xd.shape[-1]
+        mu = np.add.reduce(xd, axis=axes, keepdims=True) / count
+        centered = xd - mu
+        var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(-1)
+        ve = var + eps
+        r = ve**-0.5
+        normed = centered * r
+    else:
+        r = 1.0 / np.sqrt(running_var + eps)
+        normed = (xd - running_mean) * r
+    out = normed * gd
+    out += bd
+
+    def grad_fn(g):
+        gx = ggain = gbias = None
+        if x.requires_grad:
+            gn = g * gd
+            gx = gn * r
+            if batch_stats:
+                # The composed graph's tape, last op first: normed = centered
+                # * r with r = ve ** -0.5, ve = mean(sq) + eps, sq = centered
+                # * centered (so centered gets sq's gradient twice), and
+                # centered = x - mean(x).
+                gr = np.add.reduce(gn * centered, axis=axes, keepdims=True)
+                gsq = gr * -0.5 * ve**-1.5 / count
+                per_factor = gsq * centered
+                gx += per_factor
+                gx += per_factor
+                gx += np.add.reduce(-gx, axis=axes, keepdims=True) / count
+        if gain.requires_grad:
+            ggain = np.add.reduce(g * normed, axis=axes)
+        if bias.requires_grad:
+            gbias = np.add.reduce(g, axis=axes)
+        return gx, ggain, gbias
+
+    return _result(out, (x, gain, bias), grad_fn)
+
+
 def gather_rows(a, index: Array) -> Tensor:
     """Pick one entry per row along the last axis: out[...] = a[..., index[...]]."""
     a = _lift(a)
@@ -660,51 +736,73 @@ def avg_pool2d(a, window: int) -> Tensor:
     return _result(out, (a,), grad_fn)
 
 
-def depthwise_conv2d(a, weight, stride: int = 1, padding: int = 0) -> Tensor:
-    """Depthwise 2-D cross-correlation on [B, H, W, C] with kernel [k, k, C]."""
+def _windows(grid: Array, k: int, stride: int) -> Array:
+    """Read-only ``[B, H', W', C, k, k]`` view of every k x k window, ``stride`` apart.
+
+    Bitwise ``sliding_window_view(grid, (k, k), axis=(1, 2))[:, ::stride, ::stride]``,
+    built with one ``as_strided`` call instead of that function's checks.
+    """
+    b, h, w, c = grid.shape
+    sb, sh, sw, sc = grid.strides
+    shape = (b, (h - k) // stride + 1, (w - k) // stride + 1, c, k, k)
+    return as_strided(grid, shape, (sb, stride * sh, stride * sw, sc, sh, sw), writeable=False)
+
+
+def depthwise_conv2d(a, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+    """Depthwise 2-D cross-correlation on [B, H, W, C] with kernel [k, k, C], plus bias [C].
+
+    One graph node.  The output and the input and weight gradients are
+    each one ``np.einsum`` over the k x k windows; the input gradient
+    gathers the reversed windows of the stride-dilated output gradient.
+    ``einsum`` without ``optimize`` sums each output element over the
+    taps in (u, v) order, or over (b, h, w) for the weight gradient, so
+    for two or more channels all three are bitwise the per-tap loop
+    (``out += window(u, v) * weight[u, v]``).  With one channel the tap
+    axis is innermost and numpy's vectorised reduction regroups the sum,
+    which moves the last bit.
+    """
     a, weight = _lift(a), _lift(weight)
-    k = weight.data.shape[0]
-    if weight.data.ndim != 3 or weight.data.shape[1] != k:
-        raise ShapeMismatchError(f"kernel must be [k, k, C], got {weight.data.shape}")
-    if a.data.ndim != 4 or a.data.shape[3] != weight.data.shape[2]:
-        raise ShapeMismatchError(
-            f"input {a.data.shape} incompatible with kernel {weight.data.shape}"
-        )
-    b, h, w, c = a.data.shape
-    # Zeros plus one slice copy: the same array np.pad builds, at a tenth of its cost.
-    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c))
-    xp[:, padding : padding + h, padding : padding + w, :] = a.data
-    hout = (h + 2 * padding - k) // stride + 1
-    wout = (w + 2 * padding - k) // stride + 1
-    if hout < 1 or wout < 1:
-        raise ShapeMismatchError("kernel larger than padded input")
+    if bias is not None:
+        bias = _lift(bias)
     wd = weight.data
-    out = np.zeros((b, hout, wout, c))
-    for u in range(k):
-        for v in range(k):
-            out += (
-                xp[:, u : u + stride * hout : stride, v : v + stride * wout : stride, :]
-                * wd[u, v]
-            )
+    k = wd.shape[0]
+    if wd.ndim != 3 or wd.shape[1] != k:
+        raise ShapeMismatchError(f"kernel must be [k, k, C], got {wd.shape}")
+    if a.data.ndim != 4 or a.data.shape[3] != wd.shape[2]:
+        raise ShapeMismatchError(f"input {a.data.shape} incompatible with kernel {wd.shape}")
+    if bias is not None and bias.data.shape != wd.shape[2:]:
+        raise ShapeMismatchError(f"bias {bias.data.shape} does not match kernel {wd.shape}")
+    if stride < 1 or padding < 0:
+        raise ShapeMismatchError(f"stride must be >= 1 and padding >= 0, got {stride}, {padding}")
+    b, h, w, c = a.data.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if hp < k or wp < k:
+        raise ShapeMismatchError("kernel larger than padded input")
+    # Zeros plus one slice copy: the same array np.pad builds, at a tenth of its cost.
+    xp = np.zeros((b, hp, wp, c))
+    xp[:, padding : padding + h, padding : padding + w, :] = a.data
+    win = _windows(xp, k, stride)
+    out = np.einsum("bhwcuv,uvc->bhwc", win, wd)
+    if bias is not None:
+        out += bias.data  # into the fresh sum: the same additions as out + bias
 
     def grad_fn(g):
-        ga = gw = None
+        ga = gw = gb = None
         if a.requires_grad:
-            gxp = np.zeros_like(xp)
-            for u in range(k):
-                for v in range(k):
-                    gxp[
-                        :, u : u + stride * hout : stride, v : v + stride * wout : stride, :
-                    ] += g * wd[u, v]
-            ga = gxp[:, padding : padding + h, padding : padding + w, :]
+            # Padded position p takes g[i] * wd[u] wherever p = stride * i + u.
+            # g sits stride-dilated at offset k - 1 in a zero buffer, so the
+            # window at p, reversed, lines g[(p - u) / stride] up with wd[u].
+            hout, wout = g.shape[1:3]
+            gd = np.zeros((b, hp + k - 1, wp + k - 1, c))
+            lo = k - 1
+            gd[:, lo : lo + stride * hout : stride, lo : lo + stride * wout : stride] = g
+            rev = _windows(gd, k, 1)[:, padding : padding + h, padding : padding + w, :, ::-1, ::-1]
+            ga = np.einsum("bhwcuv,uvc->bhwc", rev, wd)
         if weight.requires_grad:
-            gw = np.empty_like(wd)
-            for u in range(k):
-                for v in range(k):
-                    patch = xp[
-                        :, u : u + stride * hout : stride, v : v + stride * wout : stride, :
-                    ]
-                    gw[u, v] = (patch * g).sum(axis=(0, 1, 2))
-        return ga, gw
+            gw = np.einsum("bhwcuv,bhwc->uvc", win, g)
+        if bias is not None and bias.requires_grad:
+            gb = np.add.reduce(g, axis=(0, 1, 2))
+        return ga, gw, gb
 
-    return _result(out, (a, weight), grad_fn)
+    inputs = (a, weight) if bias is None else (a, weight, bias)
+    return _result(out, inputs, grad_fn)

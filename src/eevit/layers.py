@@ -155,31 +155,20 @@ def batch_norm(
     running_var: np.ndarray,
     training: bool,
 ) -> Tensor:
-    """Channel-last batch normalization with running statistics.
+    """Channel-last batch normalization with running statistics: one graph node.
 
     In training mode the batch statistics are used (over every axis but
     the last) and the running estimates are updated in place.  In eval
     mode, and for single-sample training batches, the running estimates
     are used unchanged.  ``BatchNorm`` holds the momentum and epsilon.
+    ``ag.batch_norm`` is bitwise the mean, centre, variance, scale and
+    affine ops this layer used to compose.
     """
     if x.size == 0:
         raise EmptyAxisError("batch_norm on an empty tensor")
-    axes = tuple(range(x.ndim - 1))
-    use_batch_stats = training and x.shape[0] > 1
-    if use_batch_stats:
-        mu = x.mean(axis=axes, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        momentum = BatchNorm.momentum
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu.data.reshape(-1)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var.data.reshape(-1)
-        normed = centered * ag.power(var + BatchNorm.eps, -0.5)
-    else:
-        scale = 1.0 / np.sqrt(running_var + BatchNorm.eps)
-        normed = (x - running_mean) * scale
-    return normed * gain + bias
+    return ag.batch_norm(
+        x, gain, bias, running_mean, running_var, training, BatchNorm.momentum, BatchNorm.eps
+    )
 
 
 class BatchNorm(Module):
@@ -217,8 +206,7 @@ class DepthwiseConv2d(Module):
         self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = ag.depthwise_conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        return ag.add(out, self.bias)
+        return ag.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
 def avg_pool_global(x: Tensor) -> Tensor:

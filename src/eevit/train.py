@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -425,7 +426,8 @@ def stage2_train(
 
     The history starts with an epoch-0 record measuring the objective
     before any update.  Raises UnfrozenBackboneError if any backbone or
-    final-classifier parameter changed bit for bit.
+    final-classifier parameter changed bit for bit.  Warns once when the
+    placement is not LGViT's, so the distillation terms are off.
 
     The backbone's outputs and the aligned teachers depend only on the
     image, so without augmentation they are computed once, before the
@@ -439,6 +441,13 @@ def stage2_train(
     so the outputs are computed per batch instead.
     """
     use_distillation = _distillation_supported(placement)
+    if not use_distillation:
+        warnings.warn(
+            f"exit kinds {','.join(placement.kinds)} are not LGViT's placement (an even "
+            "count, lph in the first half, gah in the second): stage 2 trains each exit "
+            "with cross entropy alone, without the distillation terms",
+            stacklevel=2,
+        )
     align_modules = build_align_modules(model, placement, branches) if use_distillation else {}
     backbone_before = {name: p.data.copy() for name, p in model.named_parameters()}
 

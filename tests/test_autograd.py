@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eevit import autograd as ag
@@ -234,6 +234,65 @@ class TestLayerNormNode:
             ag.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), 1e-12)
 
 
+def _composed_batch_norm(x, gain, bias, running_mean, running_var, training):
+    """BatchNorm as the elementary ops it used to be built from: nine with batch statistics."""
+    momentum, eps = 0.1, 1e-8
+    axes = tuple(range(x.ndim - 1))
+    if training and x.shape[0] > 1:
+        mu = x.mean(axis=axes, keepdims=True)
+        centered = x - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu.data.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.data.reshape(-1)
+        normed = centered * ag.power(var + eps, -0.5)
+    else:
+        normed = (x - running_mean) * (1.0 / np.sqrt(running_var + eps))
+    return normed * gain + bias
+
+
+class TestBatchNormNode:
+    @pytest.mark.parametrize(
+        "shape,training",
+        [
+            ((32, 16, 64), True),  # the LPH's pointwise stages
+            ((32, 4, 4, 64), True),  # its depthwise stage
+            ((8, 3, 5), True),
+            ((32, 4, 4, 64), False),  # eval mode
+            ((1, 16, 64), True),  # a single-sample training batch uses the running statistics
+            ((1, 4, 4, 64), False),
+        ],
+    )
+    def test_bitwise_the_composition(self, shape, training):
+        """Output, all three gradients and the updated running statistics, bit for bit."""
+        c = shape[-1]
+
+        def run(fn):
+            r = np.random.default_rng(3)
+            stats = [r.standard_normal(c) * 0.5, r.uniform(0.5, 2.0, c)]
+            grads = _affine_run(lambda x, g, b: fn(x, g, b, *stats, training), shape, [(c,), (c,)])
+            return grads + stats
+
+        one = run(lambda x, g, b, rm, rv, t: ag.batch_norm(x, g, b, rm, rv, t, 0.1, 1e-8))
+        nine = run(_composed_batch_norm)
+        for a, b in zip(one, nine, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_one_tape_node(self, rng):
+        gain = Tensor(rng.standard_normal(4), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+        out = ag.batch_norm(x, gain, Tensor(np.zeros(4)), np.zeros(4), np.ones(4), True, 0.1, 1e-8)
+        assert len(ag.Tape.trace(out).tensors) == 1
+
+    def test_shape_mismatch(self):
+        args = (np.zeros(4), np.ones(4), True, 0.1, 1e-8)
+        with pytest.raises(ShapeMismatchError):
+            ag.batch_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), *args)
+        with pytest.raises(ShapeMismatchError):
+            ag.batch_norm(Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)), *args)
+
+
 class TestReductions:
     @pytest.mark.parametrize("axis", [None, 0, -1, 1, (0, 2), (1, 2)])
     @pytest.mark.parametrize("keepdims", [False, True])
@@ -298,6 +357,42 @@ def _hand_depthwise(x, w, stride=1, pad=0):
     return out
 
 
+def _per_tap_conv(x, w, g, stride, padding):
+    """The reference: one numpy pass per kernel tap for the output and both gradients.
+
+    Returns ``(out, gx, gw)`` for input ``x``, kernel ``w`` and output cotangent ``g``.
+    """
+    b, h, wd, c = x.shape
+    k = w.shape[0]
+    xp = np.zeros((b, h + 2 * padding, wd + 2 * padding, c))
+    xp[:, padding : padding + h, padding : padding + wd, :] = x
+    hout = (h + 2 * padding - k) // stride + 1
+    wout = (wd + 2 * padding - k) // stride + 1
+
+    def tap(u, v):
+        rows = slice(u, u + stride * hout, stride)
+        return (slice(None), rows, slice(v, v + stride * wout, stride))
+
+    out = np.zeros((b, hout, wout, c))
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for u in range(k):
+        for v in range(k):
+            out += xp[tap(u, v)] * w[u, v]
+            gxp[tap(u, v)] += g * w[u, v]
+            gw[u, v] = (xp[tap(u, v)] * g).sum(axis=(0, 1, 2))
+    return out, gxp[:, padding : padding + h, padding : padding + wd, :], gw
+
+
+def _conv_run(x, w, stride, padding, r):
+    """Output and both gradients of the conv node under a random cotangent; also the cotangent."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = ag.depthwise_conv2d(xt, wt, stride=stride, padding=padding)
+    g = r.standard_normal(out.shape)
+    ag.backward((out * Tensor(g)).sum())
+    return out.data, xt.grad, wt.grad, g
+
+
 class TestDepthwiseConv:
     def test_matches_hand_convolution(self, rng):
         x = rng.standard_normal((2, 4, 4, 3))
@@ -339,6 +434,86 @@ class TestDepthwiseConv:
         with pytest.raises(ShapeMismatchError):
             ag.depthwise_conv2d(Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 2))))
 
+    def test_bad_bias_shape(self):
+        with pytest.raises(ShapeMismatchError):
+            ag.depthwise_conv2d(
+                Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 3))), Tensor(np.zeros(2))
+            )
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one(self, stride):
+        with pytest.raises(ShapeMismatchError, match="stride"):
+            ag.depthwise_conv2d(
+                Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 3))), stride=stride
+            )
+
+    def test_negative_padding(self):
+        with pytest.raises(ShapeMismatchError, match="padding"):
+            ag.depthwise_conv2d(
+                Tensor(np.zeros((1, 4, 4, 3))), Tensor(np.zeros((3, 3, 3))), padding=-1
+            )
+
+    @given(
+        batch=st.integers(1, 3),
+        side=st.integers(1, 7),
+        channels=st.integers(2, 6),
+        k=st.integers(1, 7),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 3),
+        align=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_per_tap_loop(self, batch, side, channels, k, stride, padding, align, seed):
+        """Output and both gradients equal the per-tap loop bit for bit.
+
+        ``align`` is AlignModule's geometry: stride k and no padding.
+        """
+        if align:
+            stride, padding = k, 0
+        assume(side + 2 * padding >= k)
+        r = np.random.default_rng(seed)
+        x = r.standard_normal((batch, side, side, channels))
+        w = r.standard_normal((k, k, channels))
+        *got, g = _conv_run(x, w, stride, padding, r)
+        for one, two in zip(got, _per_tap_conv(x, w, g, stride, padding), strict=True):
+            np.testing.assert_array_equal(one, two)
+
+    @pytest.mark.parametrize("k,stride,padding", [(5, 1, 2), (7, 1, 3), (3, 2, 1)])
+    def test_one_channel_within_rounding(self, rng, k, stride, padding):
+        """With one channel the tap sum is einsum's innermost reduction, which
+        numpy vectorises in another grouping: equal to the loop up to rounding."""
+        x = rng.standard_normal((5, 7, 7, 1))
+        w = rng.standard_normal((k, k, 1))
+        *got, g = _conv_run(x, w, stride, padding, rng)
+        for one, two in zip(got, _per_tap_conv(x, w, g, stride, padding), strict=True):
+            np.testing.assert_allclose(one, two, rtol=0.0, atol=1e-13 * np.abs(two).max())
+
+    def test_bias_is_folded_into_one_node(self, rng):
+        """Conv plus bias: bitwise the conv node followed by ``add``, in one tape node."""
+        x = Tensor(rng.standard_normal((2, 4, 4, 8)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 8)), requires_grad=True)
+        b = Tensor(rng.standard_normal(8), requires_grad=True)
+        cot = Tensor(rng.standard_normal((2, 4, 4, 8)))
+
+        def grads(out):
+            for t in (x, w, b):
+                t.grad = None
+            ag.backward((out * cot).sum())
+            return [out.data] + [t.grad for t in (x, w, b)]
+
+        fused = ag.depthwise_conv2d(x, w, b, padding=1)
+        assert len(ag.Tape.trace(fused).tensors) == 1
+        one = grads(fused)
+        two = grads(ag.add(ag.depthwise_conv2d(x, w, padding=1), b))
+        for a, c in zip(one, two):
+            np.testing.assert_array_equal(a, c)
+
+
+def _batch_norm_node(x, g, b, training):
+    stats = (np.full(4, 0.3), np.full(4, 2.0))
+    return ag.batch_norm(x, g[0, 0], b[0, 1], *stats, training, 0.1, 1e-8)
+
 
 OPS_FOR_FD = [
     ("add", lambda x, y: (x + y).sum(), 2),
@@ -361,6 +536,8 @@ OPS_FOR_FD = [
     ("broadcast", lambda x: (ag.broadcast_to(x[:, :1, :], (3, 2, 4)) ** 2).sum(), 1),
     ("linear", lambda x, w, b: (ag.linear(x, w[0].transpose(), b[0, 0, :2]) ** 2).sum(), 3),
     ("layer_norm", lambda x, g, b: (ag.layer_norm(x, g[0, 0], b[0, 1], 1e-12) ** 3).sum(), 3),
+    ("batch_norm", lambda x, g, b: (_batch_norm_node(x, g, b, True) ** 3).sum(), 3),
+    ("batch_norm_eval", lambda x, g, b: (_batch_norm_node(x, g, b, False) ** 3).sum(), 3),
 ]
 
 

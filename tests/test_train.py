@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -232,9 +233,51 @@ class TestStage2:
             per_class=15, epochs1=4, epochs2=6, extra={"exits.kinds": "mlp,mlp,mlp,mlp"}
         )
         stage1_train(system.model, dataset, run.train)
-        history = stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        with pytest.warns(UserWarning, match="without the distillation terms"):
+            history = stage2_train(
+                system.model, system.branches, dataset, run.train, system.placement
+            )
         assert "loss_total" not in history[-1]
         assert history[-1]["loss_ce_exits"] < history[0]["loss_ce_exits"]
+
+
+class TestDistillationNotice:
+    def test_warns_once_when_placement_is_not_lgvit(self):
+        run, system, dataset = small_run(
+            per_class=2, epochs2=1, extra={"exits.kinds": "mlp,mlp,mlp,mlp"}
+        )
+        with pytest.warns(UserWarning, match="mlp,mlp,mlp,mlp.*without the distillation") as seen:
+            stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+        assert sum("distillation terms" in str(w.message) for w in seen) == 1
+
+    def test_silent_on_lgvit_placement(self):
+        run, system, dataset = small_run(
+            per_class=2, epochs2=1, extra={"exits.kinds": "lph,lph,gah,gah"}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+
+
+def test_stage2_batch_tape_size_on_desk_placement():
+    """One stage-2 batch on the desk placement traces at most 161 tape nodes.
+
+    It traced 211 while BatchNorm was nine ops and the depthwise conv's bias
+    a separate add: a change that splits either op again fails here.
+    """
+    run = build_run_config({"data.per_class": "1"})
+    system = build_system(run)
+    dataset = build_dataset(run.data)
+    aligns = build_align_modules(system.model, system.placement, system.branches)
+    frozen = train_mod.frozen_outputs(
+        system.model, dataset.images[:8], system.placement.positions, aligns
+    )
+    for branch in system.branches:
+        branch.train()
+    objective, _, _ = train_mod.stage2_batch_losses(
+        system.branches, frozen, dataset.labels[:8], run.train, system.placement, True
+    )
+    assert len(ag.Tape.trace(objective).tensors) <= 161
 
 
 def _count_collect_taps(monkeypatch) -> list[int]:
