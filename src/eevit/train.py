@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +243,8 @@ def _epoch_pass(
     ``step(idx, rng)`` computes batch ``idx`` and returns its loss, its
     scalars and one row of predictions per accuracy name.  A non-finite
     loss or gradient names the stage, epoch and batch.  With an
-    optimizer, each batch is backpropagated, clipped and stepped.  The
+    optimizer, each batch is backpropagated, clipped and stepped; without
+    one, ``step`` runs under ``no_grad`` and records no graph.  The
     record holds the per-sample mean of every scalar, then each accuracy.
     """
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stage, epoch]))
@@ -250,7 +252,8 @@ def _epoch_pass(
     hits = np.zeros(len(accuracy_names), dtype=np.int64)
     seen = 0
     for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
-        loss, scalars, preds = step(idx, rng)
+        with no_grad() if opt is None else nullcontext():
+            loss, scalars, preds = step(idx, rng)
         value = loss.item()
         if not math.isfinite(value):
             raise NonFiniteLossError(stage, epoch, batch, value)

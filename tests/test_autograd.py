@@ -1,5 +1,7 @@
 """Tensor arithmetic, softmax family, spatial primitives, and backprop."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +105,92 @@ class TestBackward:
         assert out.node is None and not out.requires_grad
 
 
+def _untiled_gelu(x):
+    """GELU as one pass per operation over whole arrays: the reference for the tiled op.
+
+    Returns the output and the gradient as a function of the cotangent.
+    """
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= ag._GELU_CUBIC
+    t += x
+    t *= ag._SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5, out=np.empty_like(x))
+    out *= t + 1.0
+
+    def grad(g):
+        sech2 = np.multiply(t, t, out=np.empty_like(t))
+        np.subtract(1.0, sech2, out=sech2)
+        d_inner = np.multiply(x, 3.0 * ag._GELU_CUBIC, out=np.empty_like(x))
+        d_inner *= x
+        d_inner += 1.0
+        d_inner *= ag._SQRT_2_OVER_PI
+        tail = np.multiply(x, 0.5, out=np.empty_like(x))
+        tail *= sech2
+        tail *= d_inner
+        head = np.add(t, 1.0, out=sech2)
+        head *= 0.5
+        head += tail
+        head *= g
+        return head
+
+    return out, grad
+
+
+def _matrix_shape(n):
+    """The most nearly square (rows, cols) with n elements; (0, 3) when n is 0."""
+    if n == 0:
+        return (0, 3)
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return (rows, n // rows)
+
+
+def _laid_out(r, shape, layout):
+    """Random values of ``shape``: C-contiguous, a transposed view, or every other column."""
+    if layout == "transposed" and len(shape) == 2:
+        return r.normal(0.0, 3.0, shape[::-1]).T
+    if layout == "strided" and len(shape) == 2:
+        return r.normal(0.0, 3.0, (shape[0], 2 * shape[1]))[:, ::2]
+    return r.normal(0.0, 3.0, shape)
+
+
+# 0-d, empty, and one tile less one, exactly one, one more, and two plus three elements.
+_GELU_SHAPES = [()] + [
+    _matrix_shape(n) for n in (0, ag._TILE - 1, ag._TILE, ag._TILE + 1, 2 * ag._TILE + 3)
+]
+_LAYOUTS = ["c", "transposed", "strided"]
+
+
 class TestGelu:
+    @given(
+        shape=st.sampled_from(_GELU_SHAPES),
+        x_layout=st.sampled_from(_LAYOUTS),
+        g_layout=st.sampled_from(_LAYOUTS),
+        graph=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_is_bitwise_the_untiled(self, shape, x_layout, g_layout, graph, seed):
+        """Output and gradient equal the whole-array passes bit for bit, on any layout."""
+        r = np.random.default_rng(seed)
+        x, g = _laid_out(r, shape, x_layout), _laid_out(r, shape, g_layout)
+        x_before, g_before = x.copy(), g.copy()
+        want_out, want_grad = _untiled_gelu(x)
+        if graph:
+            out = ag.gelu(Tensor(x, requires_grad=True))
+            (grad,) = out.node.grad_fn(g)
+            assert grad.shape == shape
+            np.testing.assert_array_equal(grad, want_grad(g))
+        else:
+            with ag.no_grad():
+                out = ag.gelu(Tensor(x, requires_grad=True))
+            assert out.node is None
+        assert out.data.shape == shape
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(g, g_before)
+
     def test_zero_fixed_point(self):
         assert ag.gelu(Tensor(0.0)).item() == 0.0
 
@@ -279,6 +366,21 @@ class TestBatchNormNode:
         for a, b in zip(one, nine, strict=True):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_no_graph_bitwise_the_composition(self, training):
+        """Without a graph: output and running statistics, bit for bit."""
+        r = np.random.default_rng(4)
+        x, gain, bias = r.standard_normal((32, 4, 4, 8)), r.standard_normal(8), r.standard_normal(8)
+        results = []
+        for fn in (lambda *a: ag.batch_norm(*a, 0.1, 1e-8), _composed_batch_norm):
+            stats = [np.full(8, 0.25), np.full(8, 1.5)]
+            with ag.no_grad():
+                out = fn(*(Tensor(v, requires_grad=True) for v in (x, gain, bias)), *stats, training)
+            assert out.node is None
+            results.append([out.data, *stats])
+        for a, b in zip(*results, strict=True):
+            np.testing.assert_array_equal(a, b)
+
     def test_one_tape_node(self, rng):
         gain = Tensor(rng.standard_normal(4), requires_grad=True)
         x = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
@@ -291,6 +393,147 @@ class TestBatchNormNode:
             ag.batch_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)), *args)
         with pytest.raises(ShapeMismatchError):
             ag.batch_norm(Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)), *args)
+
+
+def _check_against_reference(op, reference, arrays, graph, r):
+    """``op`` on tensors of ``arrays`` against ``reference(*arrays, g)``, bit for bit.
+
+    The output always, the gradients when a graph is recorded; neither the
+    inputs nor the cotangent ``g`` may change.
+    """
+    g = r.standard_normal(arrays[0].shape)
+    before = [a.copy() for a in (*arrays, g)]
+    want_out, want_grads = reference(*arrays, g)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    if graph:
+        out = op(*tensors)
+        for got, want in zip(out.node.grad_fn(g), want_grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+    else:
+        with ag.no_grad():
+            out = op(*tensors)
+        assert out.node is None
+    np.testing.assert_array_equal(out.data, want_out)
+    for now, then in zip((*arrays, g), before, strict=True):
+        np.testing.assert_array_equal(now, then)
+
+
+def _softmax_reference(x, g, axis):
+    """Softmax and its gradient as whole-array expressions, one temporary per operation."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    return s, (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+
+
+def _log_softmax_reference(x, g, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return out, (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
+
+
+def _layer_norm_reference(x, gain, bias, g, eps=1e-6):
+    d = x.shape[-1]
+    centred = x - x.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
+    r = (var + eps) ** -0.5
+    n = centred * r
+    gn = g * gain
+    gx = (gn - gn.sum(axis=-1, keepdims=True) / d - n * ((gn * n).sum(axis=-1, keepdims=True) / d)) * r
+    return n * gain + bias, (gx, (g * n).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+
+
+def _running_batch_norm_reference(x, gain, bias, g, running_mean, running_var, eps=1e-8):
+    """BatchNorm on running statistics as whole-array expressions."""
+    axes = tuple(range(x.ndim - 1))
+    r = 1.0 / np.sqrt(running_var + eps)
+    normed = (x - running_mean) * r
+    grads = (g * gain * r, (g * normed).sum(axis=axes), g.sum(axis=axes))
+    return normed * gain + bias, grads
+
+
+class TestInPlaceOps:
+    """The ops that write into arrays they allocated, against the expressions they compute."""
+
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize(
+        "shape,axis,axes",
+        [((64, 4, 17, 17), -1, None), ((9, 4), 0, None), ((5, 7, 6), 1, (2, 0, 1)), ((), -1, None)],
+    )
+    @pytest.mark.parametrize("name", ["softmax", "log_softmax"])
+    def test_softmax_family(self, name, shape, axis, axes, graph):
+        r = np.random.default_rng(5)
+        x = r.standard_normal(shape) * 3.0
+        if axes is not None:
+            x = x.transpose(axes)
+        op = getattr(ag, name)
+        reference = {"softmax": _softmax_reference, "log_softmax": _log_softmax_reference}[name]
+        _check_against_reference(
+            lambda t: op(t, axis=axis), lambda x, g: reference(x, g, axis), [x], graph, r
+        )
+
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize("shape,axes", [((1, 17, 64), None), ((64, 17, 64), None), ((17, 8, 64), (1, 0, 2))])
+    def test_layer_norm(self, shape, axes, graph):
+        r = np.random.default_rng(6)
+        x = r.standard_normal(shape) * 3.0 + 1.0
+        if axes is not None:
+            x = x.transpose(axes)
+        params = [r.standard_normal(shape[-1]) for _ in range(2)]
+        op = lambda x, gain, bias: ag.layer_norm(x, gain, bias, 1e-6)  # noqa: E731
+        _check_against_reference(op, _layer_norm_reference, [x, *params], graph, r)
+
+    @pytest.mark.parametrize("graph", [True, False])
+    @pytest.mark.parametrize(
+        "shape,training", [((32, 4, 4, 64), False), ((1, 16, 64), True), ((8, 3, 5), False)]
+    )
+    def test_batch_norm_on_running_statistics(self, shape, training, graph):
+        r = np.random.default_rng(7)
+        c = shape[-1]
+        x = r.standard_normal(shape) * 3.0 + 1.0
+        params = [r.standard_normal(c) for _ in range(2)]
+        stats = [r.standard_normal(c) * 0.5, r.uniform(0.5, 2.0, c)]
+        stats_before = [s.copy() for s in stats]
+
+        def op(x, gain, bias):
+            return ag.batch_norm(x, gain, bias, *stats, training, 0.1, 1e-8)
+
+        def reference(x, gain, bias, g):
+            return _running_batch_norm_reference(x, gain, bias, g, *stats)
+
+        _check_against_reference(op, reference, [x, *params], graph, r)
+        for now, then in zip(stats, stats_before, strict=True):
+            np.testing.assert_array_equal(now, then)
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while ``fn`` runs, its result included.
+
+    numpy reports its data buffers to tracemalloc, so full-size
+    temporaries show in the peak.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 (alive until the peak is read)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """No-graph forwards allocate their output and little else."""
+
+    def test_gelu_allocates_the_output_and_at_most_three_tiles(self, rng):
+        x = Tensor(rng.standard_normal((64, 17, 256)))
+        with ag.no_grad():
+            peak = _peak_bytes(lambda: ag.gelu(x))
+        assert peak <= x.data.nbytes + 3 * ag._TILE * x.data.itemsize
+
+    def test_softmax_allocates_little_beyond_the_output(self, rng):
+        x = Tensor(rng.standard_normal((64, 4, 17, 17)))
+        with ag.no_grad():
+            peak = _peak_bytes(lambda: ag.softmax(x))
+        assert peak <= 1.25 * x.data.nbytes
 
 
 class TestReductions:

@@ -280,6 +280,25 @@ def test_stage2_batch_tape_size_on_desk_placement():
     assert len(ag.Tape.trace(objective).tensors) <= 161
 
 
+def test_stage2_baseline_pass_records_no_graph(monkeypatch):
+    """Epoch 0 only measures, so its objectives carry no graph; the training epochs' do."""
+    run, system, dataset = small_run(per_class=2, epochs2=1)
+    objectives = []
+    original = train_mod.stage2_batch_losses
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        objectives.append(result[0])
+        return result
+
+    monkeypatch.setattr(train_mod, "stage2_batch_losses", recording)
+    stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+    batches = math.ceil(len(dataset) / run.train.batch_size)
+    assert len(objectives) == 2 * batches
+    assert all(o.node is None for o in objectives[:batches])
+    assert all(o.node is not None for o in objectives[batches:])
+
+
 def _count_collect_taps(monkeypatch) -> list[int]:
     """Count calls to ``collect_taps`` made through ``eevit.train``."""
     calls = [0]
