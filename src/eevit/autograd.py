@@ -37,11 +37,19 @@ class NonScalarLossError(ValueError):
     """backward() was called on a tensor with more than one element."""
 
 
+# Grad mode is one flag for the whole process, not per thread: ``no_grad``
+# entered on one thread stops graph recording on every thread, which is
+# what lets ``slabs`` workers run graph-free without entering it.
 _GRAD_ENABLED = True
 
 
+def is_grad_enabled() -> bool:
+    """Whether operations record a graph for inputs that require grad."""
+    return _GRAD_ENABLED
+
+
 class no_grad:
-    """Context manager suspending graph construction (pure evaluation)."""
+    """Context manager suspending graph construction (pure evaluation), process-wide."""
 
     def __enter__(self):
         global _GRAD_ENABLED

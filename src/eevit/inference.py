@@ -14,8 +14,11 @@ a threshold sweep runs one tau = inf pass and replays
 ``ExitPolicy.decide`` over the cached confidences for each threshold.
 Batch composition can move logits in the last bits (within 3e-14 on the
 desk model), so a chunked decision can differ from a batch-of-one
-decision only for a confidence that close to tau.  Consumed MACs follow
-the analytic path convention of the cost model.
+decision only for a confidence that close to tau.  The same bound covers
+the sample slabs a batch runs as (``slabs``): each slab is a smaller
+batch, so a split walk's logits stay within it of a one-slab walk's, and
+its decisions differ only for a confidence that close to tau.  Consumed
+MACs follow the analytic path convention of the cost model.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import slabs
 from .autograd import Tensor, no_grad
 from .costs import (
     ExitHistogram,
@@ -129,40 +133,58 @@ def cascade(
 
     Returns every classifier's logits as [exits + 1, n, classes], the
     final classifier last, with NaN where a sample had already left, and
-    per sample the index of the classifier that decided it.
+    per sample the index of the classifier that decided it.  The batch
+    runs as contiguous sample slabs, one per BLAS thread (``slabs``),
+    each walking and dropping its own samples; eval mode and ``no_grad``
+    are entered once, here, for all of them.  ``ViTModel.forward`` cuts
+    a graph-free batch into the same slabs, so at tau >= 1 the final
+    logits stay bitwise the plain forward's.
     """
     policy = ExitPolicy(tau)
     images = np.asarray(images, dtype=np.float64)
+    eval_mode(model, *branches)
+    with no_grad():
+        return slabs.run(
+            lambda lo, hi: _walk(model, branches, images[lo:hi], policy), len(images), _join_walks
+        )
+
+
+def _join_walks(parts):
+    logits, decided = zip(*parts)
+    return np.concatenate(logits, axis=1), np.concatenate(decided)
+
+
+def _walk(
+    model: ViTModel, branches: list[ExitBranch], images: np.ndarray, policy: ExitPolicy
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cascade`` on one slab, in eval mode and without a graph."""
     n, exits = len(images), len(branches)
     logits = np.full((exits + 1, n, model.config.num_classes), np.nan)
     confidences = np.full((exits, n), np.nan)
     active = np.arange(n)
-    eval_mode(model, *branches)
-    with no_grad():
-        state = model.embed(Tensor(images))
-        for i, branch in enumerate(branches):
-            state = model.continue_forward(state, branch.position)
-            rows = _finite(branch(state)[0].data, branch.position)
-            conf = _confidence(rows)
-            logits[i, active], confidences[i, active] = rows, conf
-            stay = ~policy.fires(conf)
-            if not stay.all():
-                active = active[stay]
-                if not active.size:
-                    break
-                state = EncoderOutput(Tensor(state.tokens.data[stay]), state.layer_index)
-        if active.size:
-            state = model.continue_forward(state, model.config.layers)
-            logits[exits, active] = _finite(model.final_classifier(state).data, model.config.layers)
+    state = model.embed(Tensor(images))
+    for i, branch in enumerate(branches):
+        state = model.continue_forward(state, branch.position)
+        rows = _finite(branch(state)[0].data, branch.position)
+        conf = _confidence(rows)
+        logits[i, active], confidences[i, active] = rows, conf
+        stay = ~policy.fires(conf)
+        if not stay.all():
+            active = active[stay]
+            if not active.size:
+                break
+            state = EncoderOutput(Tensor(state.tokens.data[stay]), state.layer_index)
+    if active.size:
+        state = model.continue_forward(state, model.config.layers)
+        logits[exits, active] = _finite(model.final_classifier(state).data, model.config.layers)
     return logits, policy.decide(confidences)
 
 
 def _cascade_chunks(
     model: ViTModel, branches: list[ExitBranch], images: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    parts = [cascade(model, branches, images[s : s + CHUNK], tau) for s in range(0, len(images), CHUNK)]
-    logits, decided = zip(*parts)
-    return np.concatenate(logits, axis=1), np.concatenate(decided)
+    chunks = range(0, len(images), CHUNK)
+    return _join_walks([cascade(model, branches, images[s : s + CHUNK], tau) for s in chunks])
 
 
 def infer_early_exit(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
+from . import slabs
 from .autograd import Tensor
 from .layers import LayerNorm, Linear, Module, Parameter, trunc_normal
 
@@ -190,7 +191,18 @@ class ViTModel(Module):
         return self.classifier(state.cls())
 
     def forward(self, images: Tensor) -> Tensor:
+        """Final-classifier logits; without a graph, a batch runs as sample slabs (``slabs``)."""
+        if images.shape[0] < 2 or ag.is_grad_enabled():
+            return self._logits(images)
+        data = images.data
+        return slabs.run(lambda lo, hi: self._logits(Tensor(data[lo:hi])), len(data), _join_logits)
+
+    def _logits(self, images: Tensor) -> Tensor:
         return self.final_classifier(self.forward_to_layer(images, self.config.layers))
+
+
+def _join_logits(parts: list[Tensor]) -> Tensor:
+    return Tensor(np.concatenate([part.data for part in parts]))
 
 
 def collect_taps(
