@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import attention_map_export, cka_heatmap, layer_feature_taps, write_grid_csv
 from .checkpoint import load_checkpoint
 from .config import ConfigError, System, apply_overrides, build_run_config, build_system, parse_config_file
-from .costs import cost_report, model_macs
+from .costs import model_macs, path_macs
 from .data import build_dataset, gen_synthetic, quantize_to_bytes, write_raw_images
 from .inference import ExitPolicy, evaluate_dataset, threshold_sweep
 from .metrics import MetricsWriter, write_csv
@@ -74,27 +74,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_run(args):
+    """The run config of the file, the ``--set`` overrides, then ``--tau`` and ``--data``."""
     entries = parse_config_file(args.config) if args.config else {}
-    entries = apply_overrides(entries, args.overrides)
-    return build_run_config(entries)
+    overrides = list(args.overrides)
+    if getattr(args, "tau", None) is not None:
+        overrides.append(f"policy.tau={args.tau!r}")
+    if getattr(args, "data", None):
+        overrides += ["data.source=raw", f"data.path={args.data}"]
+    return build_run_config(apply_overrides(entries, overrides))
 
 
 def _restore(system: System, path: str) -> None:
     load_full_state(load_checkpoint(path), system.model, system.branches)
 
 
-def _dataset_for(args, run):
-    if getattr(args, "data", None):
-        spec = run.data
-        spec.source, spec.path = "raw", args.data
-    return build_dataset(run.data)
-
-
 def _cmd_train(args) -> int:
     run = _load_run(args)
     os.makedirs(run.output_dir, exist_ok=True)
     system = build_system(run)
-    dataset = _dataset_for(args, run)
+    dataset = build_dataset(run.data)
     augment = (run.data.random_crop, run.data.random_flip)
     if args.stage in ("1", "all"):
         writer = MetricsWriter(
@@ -141,13 +139,12 @@ def _print_record(record: dict[str, float]) -> None:
 
 def _cmd_eval(args) -> int:
     run = _load_run(args)
-    policy = ExitPolicy(args.tau) if args.tau is not None else run.policy
     system = build_system(run)
     _restore(system, args.checkpoint)
-    dataset = _dataset_for(args, run)
+    dataset = build_dataset(run.data)
     summary = evaluate_dataset(
         system.model, system.branches, dataset.images, dataset.labels,
-        policy, system.profile, system.placement,
+        run.policy, system.profile, system.placement,
     )
     record = _summary_record(summary)
     _print_record(record)
@@ -164,7 +161,7 @@ def _cmd_sweep(args) -> int:
         ExitPolicy(tau)  # validate early
     system = build_system(run)
     _restore(system, args.checkpoint)
-    dataset = _dataset_for(args, run)
+    dataset = build_dataset(run.data)
     summaries = threshold_sweep(
         system.model, system.branches, dataset.images, dataset.labels,
         taus, system.profile, system.placement,
@@ -185,14 +182,18 @@ def _cmd_macs(args) -> int:
     run = _load_run(args)
     placement, kernels, windows = run.resolve()
     profile = model_macs(run.model, placement, kernels, windows, run.exits.expansion)
-    report = cost_report(profile, placement)
-    for key, value in report.as_records():
-        print(f"{key} = {value}")
+    records = [
+        ("backbone_macs", profile.backbone_total()),
+        ("full_macs_with_heads", profile.full_total()),
+    ]
+    for layer in sorted({*placement.positions, profile.layers_total}):
+        records.append((f"path_macs_layer_{layer}", path_macs(profile, placement, layer)))
+    report = "".join(f"{key} = {value}\n" for key, value in records)
+    print(report, end="")
     print(f"total_gmacs = {profile.backbone_total() / 1e9:.4f}")
     if args.report:
         with open(args.report, "w") as fh:
-            for key, value in report.as_records():
-                fh.write(f"{key} = {value}\n")
+            fh.write(report)
     return 0
 
 
@@ -200,7 +201,7 @@ def _cmd_analyze(args) -> int:
     run = _load_run(args)
     system = build_system(run)
     _restore(system, args.checkpoint)
-    dataset = _dataset_for(args, run)
+    dataset = build_dataset(run.data)
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
     probe = dataset.images[: args.probe]

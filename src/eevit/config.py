@@ -1,12 +1,15 @@
 """Flat key-value run configuration: parsing, validation, system assembly.
 
 Config files hold one ``section.key = value`` per line with ``#``
-comments.  Values are typed per key; lists are comma separated.  The
-full key table is documented in the README.
+comments.  Each key is ``section.field`` of the dataclass it fills, and
+takes its type and default from that field; lists are comma separated.
+The full key table is documented in the README.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,61 +74,83 @@ def _to_bool(value: str, key: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
+def _to_int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+
+
+def _to_float(value: str, key: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _to_str_list(value: str, key: str) -> tuple[str, ...] | None:
+    """Comma-separated strings; ``auto`` gives None."""
+    if value == "auto":
+        return None
+    return tuple(part.strip() for part in value.split(",") if part.strip())
+
+
+def _to_int_list(value: str, key: str) -> tuple[int, ...] | None:
+    """Comma-separated integers; ``auto`` gives None."""
+    parts = _to_str_list(value, key)
+    try:
+        return None if parts is None else tuple(int(part) for part in parts)
+    except ValueError:
+        raise ConfigError(
+            f"{key}: expected comma-separated integers or 'auto', got {','.join(parts)!r}"
+        ) from None
+
+
+def _to_float_list(value: str, key: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part.strip()) for part in value.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"{key}: expected comma-separated numbers") from None
+
+
+# The parser of a config value, by the resolved type of the field it fills.
+_PARSERS = {
+    int: _to_int,
+    float: _to_float,
+    str: lambda value, key: value,
+    bool: _to_bool,
+    tuple[int, ...] | None: _to_int_list,
+    tuple[str, ...] | None: _to_str_list,
+    tuple[float, ...]: _to_float_list,
+}
+
+
 class _Reader:
+    """Typed reads of the entries, remembering every key read."""
+
     def __init__(self, entries: dict[str, str]):
         self.entries = dict(entries)
         self.used: set[str] = set()
 
-    def _raw(self, key: str, default):
-        self.used.add(key)
-        return self.entries.get(key, default)
+    def fields(self, section: str, cls, skip: tuple[str, ...] = (), **defaults) -> dict:
+        """Keyword arguments for dataclass ``cls`` from its ``section.<field>`` keys.
 
-    def get_int(self, key: str, default: int) -> int:
-        value = self._raw(key, default)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-    def get_float(self, key: str, default: float) -> float:
-        value = self._raw(key, default)
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-    def get_str(self, key: str, default: str) -> str:
-        return str(self._raw(key, default))
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        value = self._raw(key, default)
-        return value if isinstance(value, bool) else _to_bool(value, key)
-
-    def get_int_list(self, key: str, default: str) -> tuple[int, ...] | None:
-        """Comma-separated integers; ``auto`` gives None."""
-        parts = self.get_str_list(key, default)
-        try:
-            return None if parts is None else tuple(int(part) for part in parts)
-        except ValueError:
-            raise ConfigError(
-                f"{key}: expected comma-separated integers or 'auto', got {','.join(parts)!r}"
-            ) from None
-
-    def get_float_list(self, key: str, default):
-        value = self._raw(key, default)
-        if not isinstance(value, str):
-            return default
-        try:
-            return tuple(float(part.strip()) for part in value.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected comma-separated numbers") from None
-
-    def get_str_list(self, key: str, default: str) -> tuple[str, ...] | None:
-        """Comma-separated strings; ``auto`` gives None."""
-        value = self.get_str(key, default)
-        if value == "auto":
-            return None
-        return tuple(part.strip() for part in value.split(",") if part.strip())
+        A value is parsed by the field's type; an absent key gives the
+        field's own default, or the one passed in ``defaults``.  Fields
+        named in ``skip`` are not keys.
+        """
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            if field.name in skip:
+                continue
+            key = f"{section}.{field.name}"
+            self.used.add(key)
+            if key in self.entries:
+                kwargs[field.name] = _PARSERS[hints[field.name]](self.entries[key], key)
+            else:
+                kwargs[field.name] = defaults.get(field.name, field.default)
+        return kwargs
 
     def reject_unknown(self):
         unknown = set(self.entries) - self.used
@@ -135,7 +160,7 @@ class _Reader:
 
 @dataclass
 class ExitSettings:
-    positions: tuple[int, ...] | None = None  # None means computed placement
+    positions: tuple[int, ...] | None = (2, 4, 6, 7)  # None: placed from count
     count: int = 4
     kinds: tuple[str, ...] | None = None
     kernels: tuple[int, ...] | None = None
@@ -184,72 +209,27 @@ class RunConfig:
         return placement, kernels, windows
 
 
+# The dataset fields that the model fixes; they are not keys.
+_FROM_MODEL = ("image_side", "channels", "num_classes")
+
+
 def build_run_config(entries: dict[str, str]) -> RunConfig:
     reader = _Reader(entries)
     try:
-        model = ViTConfig(
-            image_side=reader.get_int("model.image_side", 32),
-            channels=reader.get_int("model.channels", 3),
-            patch_side=reader.get_int("model.patch_side", 8),
-            layers=reader.get_int("model.layers", 8),
-            dim=reader.get_int("model.dim", 64),
-            heads=reader.get_int("model.heads", 4),
-            mlp_ratio=reader.get_float("model.mlp_ratio", 4.0),
-            num_classes=reader.get_int("model.num_classes", 10),
-        )
-        exits = ExitSettings(
-            positions=reader.get_int_list("exits.positions", "2,4,6,7"),
-            count=reader.get_int("exits.count", 4),
-            kinds=reader.get_str_list("exits.kinds", "auto"),
-            kernels=reader.get_int_list("exits.kernels", "auto"),
-            windows=reader.get_int_list("exits.windows", "auto"),
-            k_max=reader.get_int("exits.k_max", 5),
-            g_max=reader.get_int("exits.g_max", 4),
-            expansion=reader.get_int("exits.expansion", 1),
-        )
-        seed = reader.get_int("run.seed", 0)
-        train = TrainConfig(
-            alpha=reader.get_float("train.alpha", 0.1),
-            beta=reader.get_float("train.beta", 0.1),
-            gamma=reader.get_float("train.gamma", 0.5),
-            temperature=reader.get_float("train.temperature", 4.0),
-            lr_stage1=reader.get_float("train.lr_stage1", 1e-3),
-            lr_stage2=reader.get_float("train.lr_stage2", 1e-2),
-            epochs_stage1=reader.get_int("train.epochs_stage1", 8),
-            epochs_stage2=reader.get_int("train.epochs_stage2", 12),
-            batch_size=reader.get_int("train.batch_size", 32),
-            seed=reader.get_int("train.seed", seed),
-            optimizer=reader.get_str("train.optimizer", "adam"),
-            optimizer_stage2=reader.get_str("train.optimizer_stage2", "sgd"),
-            momentum=reader.get_float("train.momentum", 0.9),
-            weight_decay=reader.get_float("train.weight_decay", 0.0),
-            clip_norm=reader.get_float("train.clip_norm", 1.0),
-            lr_schedule=reader.get_str("train.lr_schedule", "cosine"),
-        )
-        data = DatasetSpec(
-            source=reader.get_str("data.source", "synthetic"),
-            path=reader.get_str("data.path", ""),
-            image_side=model.image_side,
-            channels=model.channels,
-            num_classes=model.num_classes,
-            per_class=reader.get_int("data.per_class", 100),
-            noise=reader.get_float("data.noise", 0.05),
-            mean=reader.get_float_list("data.mean", (0.5,) * model.channels),
-            std=reader.get_float_list("data.std", (0.5,) * model.channels),
-            random_crop=reader.get_bool("data.random_crop", False),
-            random_flip=reader.get_bool("data.random_flip", False),
-            seed=reader.get_int("data.seed", seed),
-        )
-        policy = ExitPolicy(tau=reader.get_float("policy.tau", 0.9))
+        scalars = reader.fields("run", RunConfig, skip=("model", "exits", "train", "data", "policy"))
+        seed = scalars["seed"]
+        model = ViTConfig(**reader.fields("model", ViTConfig))
+        unit = (0.5,) * model.channels
         run = RunConfig(
             model=model,
-            exits=exits,
-            train=train,
-            data=data,
-            policy=policy,
-            seed=seed,
-            output_dir=reader.get_str("run.output_dir", "runs/default"),
-            timestamps=reader.get_bool("run.timestamps", False),
+            exits=ExitSettings(**reader.fields("exits", ExitSettings)),
+            train=TrainConfig(**reader.fields("train", TrainConfig, seed=seed)),
+            data=DatasetSpec(
+                **{name: getattr(model, name) for name in _FROM_MODEL},
+                **reader.fields("data", DatasetSpec, _FROM_MODEL, seed=seed, mean=unit, std=unit),
+            ),
+            policy=ExitPolicy(**reader.fields("policy", ExitPolicy)),
+            **scalars,
         )
         reader.reject_unknown()
         run.resolve()  # fail fast on inconsistent placement settings

@@ -218,26 +218,3 @@ def expected_macs(
             raise InconsistentHistogramError(f"samples exit at layer {layer}, not an exit")
         acc += count * path_macs(profile, placement, layer)
     return acc / total
-
-
-@dataclass(frozen=True)
-class CostReport:
-    backbone_macs: int
-    full_macs_with_heads: int
-    path_macs_by_layer: dict[int, int]
-
-    def as_records(self) -> list[tuple[str, object]]:
-        rows: list[tuple[str, object]] = [
-            ("backbone_macs", self.backbone_macs),
-            ("full_macs_with_heads", self.full_macs_with_heads),
-        ]
-        for layer in sorted(self.path_macs_by_layer):
-            rows.append((f"path_macs_layer_{layer}", self.path_macs_by_layer[layer]))
-        return rows
-
-
-def cost_report(profile: MacProfile, placement: ExitPlacement | None) -> CostReport:
-    layers_total = profile.layers_total
-    exit_layers = sorted({*(placement.positions if placement else ()), layers_total})
-    paths = {layer: path_macs(profile, placement, layer) for layer in exit_layers}
-    return CostReport(profile.backbone_total(), profile.full_total(), paths)

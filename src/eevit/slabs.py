@@ -3,7 +3,9 @@
 In eval mode without a graph every sample is independent through every
 block and head, so a batch of n can be cut into W contiguous slabs that
 run at once and are joined back in order.  W is the thread count of the
-OpenBLAS numpy loaded, read at call time; for the length of the call
+OpenBLAS numpy loaded, read at call time and capped at the CPUs the
+process may run on, so that a thread count above the cores does not
+oversubscribe them; for the length of the call
 that BLAS is pinned to one thread, so each slab's gemms run on its own
 core instead of waking a BLAS worker that then spins between gemms, and
 the count is restored afterwards, also when a slab raises.  The calling
@@ -70,6 +72,13 @@ def _executor():
     return _pool
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(fn, n: int, join):
     """``fn(lo, hi)`` over contiguous slabs of ``range(n)``, joined in order.
 
@@ -81,7 +90,7 @@ def run(fn, n: int, join):
     try:
         handles = blas()
         threads = handles.get() if handles is not None else 1
-        count = min(threads, n)
+        count = min(threads, _usable_cpus(), n)
         if count < 2:
             return fn(0, n)
         bounds = [n * i // count for i in range(count + 1)]

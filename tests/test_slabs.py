@@ -2,8 +2,9 @@
 leaves the BLAS thread count and grad mode as it found them, and falls back
 to the serial walk wherever it cannot split.
 
-Most tests stand in a fake BLAS for numpy's, so that the slab count does not
-depend on the machine's cores or on ``OPENBLAS_NUM_THREADS``.
+Most tests stand in a fake BLAS for numpy's and a fake set of 64 usable CPUs,
+so that the slab count does not depend on the machine's cores or on
+``OPENBLAS_NUM_THREADS``.
 """
 
 import math
@@ -46,14 +47,15 @@ class FakeBlas:
         self.threads = threads
 
 
-def with_blas(handles, fn):
-    """``fn()`` with ``handles`` standing in for numpy's BLAS."""
-    saved = slabs._blas
+def with_blas(handles, fn, cpus=64):
+    """``fn()`` with ``handles`` standing in for numpy's BLAS, on ``cpus`` usable CPUs."""
+    saved = slabs._blas, os.sched_getaffinity
     slabs._blas = handles
+    os.sched_getaffinity = lambda pid: set(range(cpus))
     try:
         return fn()
     finally:
-        slabs._blas = saved
+        slabs._blas, os.sched_getaffinity = saved
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +127,14 @@ class TestEquivalence:
         assert joined == list(range(10))
         assert sorted(seen) == [(0, 3), (3, 6), (6, 10)]
         assert blas.calls == [1, 3]
+
+    @pytest.mark.parametrize("threads, cpus, expected", [(8, 2, 2), (2, 2, 2), (2, 8, 2)])
+    def test_never_more_slabs_than_usable_cpus(self, threads, cpus, expected):
+        seen = []
+        blas = FakeBlas(threads)
+        with_blas(blas, lambda: slabs.run(lambda lo, hi: seen.append((lo, hi)), 10, list), cpus)
+        assert len(seen) == expected
+        assert blas.calls == [1, threads]
 
     def test_never_more_slabs_than_samples(self):
         seen = []
