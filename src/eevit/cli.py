@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import attention_map_export, cka_heatmap, layer_feature_taps, write_grid_csv
 from .checkpoint import load_checkpoint
-from .config import ConfigError, System, apply_overrides, build_run_config, build_system, parse_config_file
+from .config import ConfigError, apply_overrides, build_run_config, build_system, parse_config_file
 from .costs import model_macs, path_macs
 from .data import build_dataset, gen_synthetic, quantize_to_bytes, write_raw_images
 from .inference import ExitPolicy, evaluate_dataset, threshold_sweep
@@ -84,8 +84,18 @@ def _load_run(args):
     return build_run_config(apply_overrides(entries, overrides))
 
 
-def _restore(system: System, path: str) -> None:
-    load_full_state(load_checkpoint(path), system.model, system.branches)
+def _load_restored(args, check=None):
+    """The run, its system with ``--checkpoint`` loaded, and its dataset.
+
+    ``check()`` runs once the config is read, before the system is built,
+    so that its errors come after the config's and before the checkpoint's.
+    """
+    run = _load_run(args)
+    if check is not None:
+        check()
+    system = build_system(run)
+    load_full_state(load_checkpoint(args.checkpoint), system.model, system.branches)
+    return run, system, build_dataset(run.data)
 
 
 def _cmd_train(args) -> int:
@@ -120,58 +130,55 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _summary_record(summary) -> dict[str, float]:
-    """The fields ``eval`` and ``sweep`` print and write for a summary, in CSV column order."""
-    return {
-        "tau": summary.tau,
-        "accuracy": summary.accuracy,
-        "speedup": summary.speedup,
-        "expected_macs": summary.expected_macs,
-    }
+def _report(run, phase: str, summaries) -> list[dict[str, float]]:
+    """Print each summary and write it to ``output_dir/<phase>.txt`` at steps 0, 1, ...
 
-
-def _print_record(record: dict[str, float]) -> None:
-    print(
-        f"tau={record['tau']} accuracy={record['accuracy']:.4f} "
-        f"speedup={record['speedup']:.4f} expected_macs={record['expected_macs']:.1f}"
-    )
+    Returns the records, whose keys are in CSV column order.
+    """
+    records = [
+        {
+            "tau": summary.tau,
+            "accuracy": summary.accuracy,
+            "speedup": summary.speedup,
+            "expected_macs": summary.expected_macs,
+        }
+        for summary in summaries
+    ]
+    os.makedirs(run.output_dir, exist_ok=True)
+    writer = MetricsWriter(os.path.join(run.output_dir, f"{phase}.txt"), timestamps=run.timestamps)
+    for step, record in enumerate(records):
+        print(
+            f"tau={record['tau']} accuracy={record['accuracy']:.4f} "
+            f"speedup={record['speedup']:.4f} expected_macs={record['expected_macs']:.1f}"
+        )
+        writer.write(phase, step, record)
+    return records
 
 
 def _cmd_eval(args) -> int:
-    run = _load_run(args)
-    system = build_system(run)
-    _restore(system, args.checkpoint)
-    dataset = build_dataset(run.data)
+    run, system, dataset = _load_restored(args)
     summary = evaluate_dataset(
         system.model, system.branches, dataset.images, dataset.labels,
         run.policy, system.profile, system.placement,
     )
-    record = _summary_record(summary)
-    _print_record(record)
-    os.makedirs(run.output_dir, exist_ok=True)
-    writer = MetricsWriter(os.path.join(run.output_dir, "eval.txt"), timestamps=run.timestamps)
-    writer.write("eval", 0, record)
+    _report(run, "eval", [summary])
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    run = _load_run(args)
-    taus = [float(part) for part in args.taus.split(",") if part.strip()]
-    for tau in taus:
-        ExitPolicy(tau)  # validate early
-    system = build_system(run)
-    _restore(system, args.checkpoint)
-    dataset = build_dataset(run.data)
+    taus: list[float] = []
+
+    def read_taus():
+        taus.extend(float(part) for part in args.taus.split(",") if part.strip())
+        for tau in taus:
+            ExitPolicy(tau)  # validate before the system is built
+
+    run, system, dataset = _load_restored(args, read_taus)
     summaries = threshold_sweep(
         system.model, system.branches, dataset.images, dataset.labels,
         taus, system.profile, system.placement,
     )
-    os.makedirs(run.output_dir, exist_ok=True)
-    writer = MetricsWriter(os.path.join(run.output_dir, "sweep.txt"), timestamps=run.timestamps)
-    records = [_summary_record(summary) for summary in summaries]
-    for step, record in enumerate(records):
-        _print_record(record)
-        writer.write("sweep", step, record)
+    records = _report(run, "sweep", summaries)
     csv_path = args.csv or os.path.join(run.output_dir, "sweep.csv")
     write_csv(csv_path, list(records[0]), [list(record.values()) for record in records])
     print(f"wrote {csv_path}")
@@ -198,10 +205,7 @@ def _cmd_macs(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    run = _load_run(args)
-    system = build_system(run)
-    _restore(system, args.checkpoint)
-    dataset = build_dataset(run.data)
+    run, system, dataset = _load_restored(args)
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
     probe = dataset.images[: args.probe]

@@ -211,13 +211,6 @@ def pool_token_grid(x: Tensor, window: int) -> Tensor:
     return grid_to_tokens(ag.avg_pool2d(tokens_to_grid(x), window))
 
 
-def pooled_token_count(num_patches: int, window: int) -> int:
-    side = int(round(num_patches**0.5))
-    if side * side != num_patches:
-        raise ValueError(f"token count {num_patches} does not form a square grid")
-    return (-(-side // window)) ** 2
-
-
 class _ConvStage(Module):
     """Convolution followed by GELU and batch norm."""
 

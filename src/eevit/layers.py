@@ -128,14 +128,9 @@ class Linear(Module):
         return ag.linear(x, self.weight, self.bias)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
-    if x.shape[-1] == 0:
-        raise EmptyAxisError("layer_norm over an empty axis")
-    return ag.layer_norm(x, gain, bias, LayerNorm.eps)
-
-
 class LayerNorm(Module):
+    """Normalize the last axis to zero mean and unit variance, then affine."""
+
     eps = 1e-12
 
     def __init__(self, dim: int):
@@ -144,34 +139,21 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias)
+        if x.shape[-1] == 0:
+            raise EmptyAxisError("layer_norm over an empty axis")
+        return ag.layer_norm(x, self.gain, self.bias, self.eps)
 
 
-def batch_norm(
-    x: Tensor,
-    gain: Tensor,
-    bias: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-) -> Tensor:
+class BatchNorm(Module):
     """Channel-last batch normalization with running statistics: one graph node.
 
     In training mode the batch statistics are used (over every axis but
     the last) and the running estimates are updated in place.  In eval
     mode, and for single-sample training batches, the running estimates
-    are used unchanged.  ``BatchNorm`` holds the momentum and epsilon.
-    ``ag.batch_norm`` is bitwise the mean, centre, variance, scale and
-    affine ops this layer used to compose.
+    are used unchanged.  ``ag.batch_norm`` is bitwise the mean, centre,
+    variance, scale and affine ops this layer used to compose.
     """
-    if x.size == 0:
-        raise EmptyAxisError("batch_norm on an empty tensor")
-    return ag.batch_norm(
-        x, gain, bias, running_mean, running_var, training, BatchNorm.momentum, BatchNorm.eps
-    )
 
-
-class BatchNorm(Module):
     eps = 1e-8
     momentum = 0.1
 
@@ -183,8 +165,11 @@ class BatchNorm(Module):
         self.register_buffer("running_var", np.ones(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return batch_norm(
-            x, self.gain, self.bias, self.running_mean, self.running_var, self.training
+        if x.size == 0:
+            raise EmptyAxisError("batch_norm on an empty tensor")
+        return ag.batch_norm(
+            x, self.gain, self.bias, self.running_mean, self.running_var, self.training,
+            self.momentum, self.eps,
         )
 
 

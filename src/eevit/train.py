@@ -33,7 +33,8 @@ from .distill import (
     prediction_loss,
     total_loss,
 )
-from .heads import ExitBranch, ExitPlacement, pooled_token_count
+from .costs import pooled_tokens_exact
+from .heads import ExitBranch, ExitPlacement
 from .inference import cascade
 from .layers import Module
 from .losses import cross_entropy
@@ -306,9 +307,7 @@ def stage1_train(
     return history
 
 
-def build_align_modules(
-    model: ViTModel, placement: ExitPlacement, branches: list[ExitBranch]
-) -> dict[int, AlignModule]:
+def build_align_modules(model: ViTModel, branches: list[ExitBranch]) -> dict[int, AlignModule]:
     """One aligning module per heterogeneous-distillation ordinal.
 
     Targets must match each exit's pre-pool token count: the full grid
@@ -317,9 +316,9 @@ def build_align_modules(
     """
     n = model.config.num_patches
     modules: dict[int, AlignModule] = {}
-    for ordinal in heterogeneous_ordinals(placement.count):
+    for ordinal in heterogeneous_ordinals(len(branches)):
         branch = branches[ordinal - 1]
-        target = pooled_token_count(n, branch.head.window) if branch.kind == "gah" else n
+        target = pooled_tokens_exact(n, branch.head.window) if branch.kind == "gah" else n
         modules[ordinal] = AlignModule(model.config.dim, n, target).eval()
     return modules
 
@@ -338,10 +337,13 @@ def stage2_batch_losses(
     frozen: FrozenOutputs,
     labels: np.ndarray,
     cfg: TrainConfig,
-    placement: ExitPlacement,
-    use_distillation: bool,
 ) -> tuple[Tensor, dict[str, float], np.ndarray]:
-    """Objective for one batch: distillation terms plus per-exit cross entropy."""
+    """Objective for one batch: distillation terms plus per-exit cross entropy.
+
+    The distillation terms are added when ``frozen`` carries teachers,
+    which ``stage2_train`` aligns only for LGViT's placement: conv exits
+    in the first half of ``branches``, attention exits in the second.
+    """
     branch_logits: list[Tensor] = []
     features: list[Tensor] = []
     ce_sum: Tensor | None = None
@@ -352,8 +354,8 @@ def stage2_batch_losses(
         features.append(fmap)
         ce = cross_entropy(logits, labels)
         ce_sum = ce if ce_sum is None else ce_sum + ce
-    if use_distillation:
-        half = placement.count // 2
+    if frozen.teachers:
+        half = len(branches) // 2
         parts = DistillationParts(
             hete=heterogeneous_loss(features, frozen.teachers),
             homo_lph=homogeneous_lph_loss(features[:half]),
@@ -443,15 +445,14 @@ def stage2_train(
     4, 1).  With crop or flip on, each batch's images differ per pass,
     so the outputs are computed per batch instead.
     """
-    use_distillation = _distillation_supported(placement)
-    if not use_distillation:
+    align_modules = build_align_modules(model, branches) if _distillation_supported(placement) else {}
+    if not align_modules:
         warnings.warn(
             f"exit kinds {','.join(placement.kinds)} are not LGViT's placement (an even "
             "count, lph in the first half, gah in the second): stage 2 trains each exit "
             "with cross entropy alone, without the distillation terms",
             stacklevel=2,
         )
-    align_modules = build_align_modules(model, placement, branches) if use_distillation else {}
     backbone_before = {name: p.data.copy() for name, p in model.named_parameters()}
 
     model.eval()
@@ -473,17 +474,15 @@ def stage2_train(
         else:
             images = augment_batch(dataset.images[idx], rng, crop, flip)
             frozen = frozen_outputs(model, images, placement.positions, align_modules)
-        return stage2_batch_losses(
-            branches, frozen, dataset.labels[idx], cfg, placement, use_distillation
-        )
+        return stage2_batch_losses(branches, frozen, dataset.labels[idx], cfg)
 
     names = [f"exit{i + 1}_acc" for i in range(len(branches))]
+    for branch in branches:
+        branch.train()
     history = []
     for epoch in range(cfg.epochs_stage2 + 1):  # epoch 0 measures, without updates
         if epoch:
             opt.lr = cfg.stage2_lr(epoch)
-        for branch in branches:
-            branch.train()
         record = _epoch_pass(dataset, cfg, 2, epoch, step, opt if epoch else None, names)
         history.append(record)
         if writer is not None:

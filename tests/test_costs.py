@@ -51,6 +51,12 @@ class TestFormulas:
     def test_gah_divisible_case(self):
         assert mac_gah(16, 4, 2) == 384
 
+    def test_pooled_token_count_formula(self):
+        assert pooled_tokens_exact(16, 2) == 4
+        assert pooled_tokens_exact(16, 3) == 4
+        assert pooled_tokens_exact(16, 4) == 1
+        assert pooled_tokens_exact(196, 2) == 49
+
     def test_gah_uses_true_pooled_count(self):
         # 4x4 grid with window 3 pools to a 2x2 grid, not 16/9 tokens
         assert pooled_tokens_exact(16, 3) == 4

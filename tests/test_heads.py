@@ -21,7 +21,6 @@ from eevit.heads import (
     default_head_kind,
     place_exits,
     pool_token_grid,
-    pooled_token_count,
 )
 from eevit.layers import grid_to_tokens, tokens_to_grid
 from eevit.vit import EncoderOutput, ViTConfig
@@ -99,12 +98,6 @@ class TestTokenGridPool:
         x = rng.standard_normal((2, 16, 3))
         out = pool_token_grid(Tensor(x), 2)
         np.testing.assert_allclose(out.data.mean(axis=1), x.mean(axis=1), rtol=1e-12)
-
-    def test_pooled_token_count_formula(self):
-        assert pooled_token_count(16, 2) == 4
-        assert pooled_token_count(16, 3) == 4
-        assert pooled_token_count(16, 4) == 1
-        assert pooled_token_count(196, 2) == 49
 
 
 class TestLocalPerceptionHead:

@@ -11,12 +11,12 @@ from eevit.layers import (
     BatchNorm,
     DepthwiseConv2d,
     EmptyAxisError,
+    LayerNorm,
     Linear,
     Module,
     Parameter,
     avg_pool_global,
     grid_to_tokens,
-    layer_norm,
     tokens_to_grid,
 )
 from eevit.train import StateShapeError, load_full_state
@@ -24,28 +24,33 @@ from eevit.train import StateShapeError, load_full_state
 from conftest import FD_TOL, grad_check
 
 
+def _layer_norm(gain: np.ndarray, bias: np.ndarray) -> LayerNorm:
+    norm = LayerNorm(len(gain))
+    norm.gain.data, norm.bias.data = gain, bias
+    return norm
+
+
 class TestLayerNorm:
     def test_zero_mean_unit_variance_pre_affine(self, rng):
         x = Tensor(rng.standard_normal((4, 6, 16)) * 3 + 1)
-        out = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16)))
+        out = _layer_norm(np.ones(16), np.zeros(16))(x)
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.data.var(axis=-1), 1.0, atol=1e-9)
 
     def test_constant_vector_gives_zeros(self):
         x = Tensor(np.full((2, 8), 3.7))
-        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        out = _layer_norm(np.ones(8), np.zeros(8))(x)
         np.testing.assert_array_equal(out.data, np.zeros((2, 8)))
 
     def test_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
-        gain = Tensor(rng.standard_normal(8), requires_grad=True)
-        bias = Tensor(rng.standard_normal(8), requires_grad=True)
-        err = grad_check(lambda: (layer_norm(x, gain, bias) ** 2).sum(), [x, gain, bias])
+        norm = _layer_norm(rng.standard_normal(8), rng.standard_normal(8))
+        err = grad_check(lambda: (norm(x) ** 2).sum(), [x, norm.gain, norm.bias])
         assert err < FD_TOL
 
     def test_empty_axis_error(self):
         with pytest.raises(EmptyAxisError):
-            layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
+            _layer_norm(np.ones(0), np.zeros(0))(Tensor(np.zeros((2, 0))))
 
 
 class TestBatchNorm:
@@ -86,6 +91,10 @@ class TestBatchNorm:
         out_eval = bn(x)
         np.testing.assert_array_equal(out_train.data, out_eval.data)
         np.testing.assert_array_equal(bn.running_mean, frozen_mean)
+
+    def test_empty_batch_error(self):
+        with pytest.raises(EmptyAxisError):
+            BatchNorm(4)(Tensor(np.zeros((0, 3, 4))))
 
     def test_gradients_both_modes(self, rng):
         for training in (True, False):

@@ -16,6 +16,8 @@ from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
 from eevit.data import build_dataset
 from eevit.distill import AlignModule, heterogeneous_ordinals
+from eevit.inference import cascade
+from eevit.losses import cross_entropy
 from eevit.metrics import MetricsWriter
 from eevit.layers import Parameter
 from eevit.train import (
@@ -32,6 +34,7 @@ from eevit.train import (
     stage1_train,
     stage2_train,
 )
+from eevit.vit import EncoderOutput
 
 from conftest import FD_TOL, sampled_grad_check
 
@@ -162,7 +165,7 @@ class TestStage2:
 
     def test_align_modules_not_trainable(self):
         run, system, dataset = small_run()
-        aligns = build_align_modules(system.model, system.placement, system.branches)
+        aligns = build_align_modules(system.model, system.branches)
         assert set(aligns) == {1, 2, 3, 4}
         for align in aligns.values():
             assert not align.training
@@ -204,7 +207,7 @@ class TestStage2:
     def test_table_rows_match_a_recomputed_permuted_batch(self, rng):
         run, system, dataset = small_run(per_class=12)
         cfg, placement = run.train, system.placement
-        aligns = build_align_modules(system.model, placement, system.branches)
+        aligns = build_align_modules(system.model, system.branches)
         for branch in system.branches:
             branch.eval()
         table = train_mod._frozen_table(
@@ -219,10 +222,10 @@ class TestStage2:
         for m, teacher in recomputed.teachers.items():
             np.testing.assert_array_equal(rows.teachers[m], teacher)
         _, from_table, _ = train_mod.stage2_batch_losses(
-            system.branches, rows, dataset.labels[idx], cfg, placement, True
+            system.branches, rows, dataset.labels[idx], cfg
         )
         _, from_images, _ = train_mod.stage2_batch_losses(
-            system.branches, recomputed, dataset.labels[idx], cfg, placement, True
+            system.branches, recomputed, dataset.labels[idx], cfg
         )
         assert from_table.keys() == from_images.keys()
         for key, value in from_images.items():
@@ -268,14 +271,14 @@ def test_stage2_batch_tape_size_on_desk_placement():
     run = build_run_config({"data.per_class": "1"})
     system = build_system(run)
     dataset = build_dataset(run.data)
-    aligns = build_align_modules(system.model, system.placement, system.branches)
+    aligns = build_align_modules(system.model, system.branches)
     frozen = train_mod.frozen_outputs(
         system.model, dataset.images[:8], system.placement.positions, aligns
     )
     for branch in system.branches:
         branch.train()
     objective, _, _ = train_mod.stage2_batch_losses(
-        system.branches, frozen, dataset.labels[:8], run.train, system.placement, True
+        system.branches, frozen, dataset.labels[:8], run.train
     )
     assert len(ag.Tape.trace(objective).tensors) <= 161
 
@@ -297,6 +300,55 @@ def test_stage2_baseline_pass_records_no_graph(monkeypatch):
     assert len(objectives) == 2 * batches
     assert all(o.node is None for o in objectives[:batches])
     assert all(o.node is not None for o in objectives[batches:])
+
+
+def test_stage2_trains_its_branches_in_train_mode(monkeypatch):
+    """Branches that inference left in eval mode train in train mode, in every batch of every epoch."""
+    run, system, dataset = small_run(per_class=2, epochs2=2)
+    cascade(system.model, system.branches, dataset.images[:2], math.inf)
+    assert not any(branch.training for branch in system.branches)
+    modes = []
+    original = train_mod.stage2_batch_losses
+
+    def recording(branches, *args, **kwargs):
+        modes.extend(branch.training for branch in branches)
+        return original(branches, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "stage2_batch_losses", recording)
+    stage2_train(system.model, system.branches, dataset, run.train, system.placement)
+    batches = math.ceil(len(dataset) / run.train.batch_size)
+    assert len(modes) == (run.train.epochs_stage2 + 1) * batches * len(system.branches)
+    assert all(modes)
+
+
+def test_zero_distillation_weights_keep_the_doubled_prediction_terms():
+    """At alpha = beta = gamma = 0, LGViT's objective is not cross entropy alone.
+
+    The prediction term is still CE(exit count/2) + CE(exit count), so
+    those two exits get cross entropy twice; any other placement trains
+    each exit on it once.
+    """
+    run = build_run_config(
+        {"data.per_class": "1", "train.alpha": "0", "train.beta": "0", "train.gamma": "0"}
+    )
+    system = build_system(run)
+    dataset = build_dataset(run.data)
+    for branch in system.branches:
+        branch.eval()
+    labels = dataset.labels[:8]
+    aligns = build_align_modules(system.model, system.branches)
+    frozen = train_mod.frozen_outputs(
+        system.model, dataset.images[:8], system.placement.positions, aligns
+    )
+    objective, scalars, _ = train_mod.stage2_batch_losses(system.branches, frozen, labels, run.train)
+    ce = []
+    for branch in system.branches:
+        tap = EncoderOutput(ag.Tensor(frozen.taps[branch.position]), branch.position)
+        ce.append(cross_entropy(branch(tap)[0], labels).item())
+    doubled = ce[len(ce) // 2 - 1] + ce[-1]
+    assert scalars["loss_ce_exits"] == pytest.approx(sum(ce), rel=1e-12)
+    assert scalars["loss_pred"] == pytest.approx(doubled, rel=1e-12)
+    assert objective.item() == pytest.approx(sum(ce) + doubled, rel=1e-12)
 
 
 def _count_collect_taps(monkeypatch) -> list[int]:
@@ -497,17 +549,14 @@ def test_stage2_objective_gradient_matches_finite_differences(rng):
     run, system, dataset = small_run(per_class=4)
     from eevit.train import frozen_outputs, stage2_batch_losses
 
-    aligns = build_align_modules(system.model, system.placement, system.branches)
+    aligns = build_align_modules(system.model, system.branches)
     for branch in system.branches:
         branch.eval()  # eval-mode norms make the objective deterministic
     frozen = frozen_outputs(system.model, dataset.images[:4], system.placement.positions, aligns)
     labels = dataset.labels[:4]
 
     def build():
-        objective, _, _ = stage2_batch_losses(
-            system.branches, frozen, labels,
-            run.train, system.placement, use_distillation=True,
-        )
+        objective, _, _ = stage2_batch_losses(system.branches, frozen, labels, run.train)
         return objective
 
     params = [p for b in system.branches for p in b.parameters()]
