@@ -105,9 +105,7 @@ def _cmd_train(args) -> int:
     dataset = build_dataset(run.data)
     augment = (run.data.random_crop, run.data.random_flip)
     if args.stage in ("1", "all"):
-        writer = MetricsWriter(
-            os.path.join(run.output_dir, "metrics_stage1.txt"), timestamps=run.timestamps
-        )
+        writer = MetricsWriter(os.path.join(run.output_dir, "metrics_stage1.txt"))
         history = stage1_train(system.model, dataset, run.train, run.output_dir, writer, augment)
         print(f"stage 1 done: train_acc={history[-1]['train_acc']:.4f}")
     if args.stage in ("2", "all"):
@@ -115,9 +113,7 @@ def _cmd_train(args) -> int:
             ckpt = args.checkpoint or os.path.join(run.output_dir, "stage1_final.ckpt")
             backbone = {k: v for k, v in load_checkpoint(ckpt).items() if k.startswith("model.")}
             load_full_state(backbone, system.model)
-        writer = MetricsWriter(
-            os.path.join(run.output_dir, "metrics_stage2.txt"), timestamps=run.timestamps
-        )
+        writer = MetricsWriter(os.path.join(run.output_dir, "metrics_stage2.txt"))
         history = stage2_train(
             system.model, system.branches, dataset, run.train, system.placement,
             run.output_dir, writer, augment,
@@ -145,7 +141,7 @@ def _report(run, phase: str, summaries) -> list[dict[str, float]]:
         for summary in summaries
     ]
     os.makedirs(run.output_dir, exist_ok=True)
-    writer = MetricsWriter(os.path.join(run.output_dir, f"{phase}.txt"), timestamps=run.timestamps)
+    writer = MetricsWriter(os.path.join(run.output_dir, f"{phase}.txt"))
     for step, record in enumerate(records):
         print(
             f"tau={record['tau']} accuracy={record['accuracy']:.4f} "
@@ -213,7 +209,7 @@ def _cmd_analyze(args) -> int:
     heatmap = cka_heatmap(taps, taps)
     write_grid_csv(os.path.join(out_dir, "cka_self.csv"), heatmap)
     print(f"cka diagonal: {np.diagonal(heatmap).round(6).tolist()}")
-    layer = args.attn_layer or run.model.layers
+    layer = run.model.layers if args.attn_layer is None else args.attn_layer
     grid, cls_self = attention_map_export(system.model, dataset.images[args.attn_sample], layer)
     write_grid_csv(os.path.join(out_dir, f"attention_layer{layer}.csv"), grid)
     print(f"attention grid written for layer {layer}; cls self-weight {cls_self:.6f}")

@@ -179,7 +179,6 @@ class RunConfig:
     policy: ExitPolicy
     seed: int = 0
     output_dir: str = "runs/default"
-    timestamps: bool = False
 
     def resolve(self) -> tuple[ExitPlacement, KernelSchedule, WindowSchedule]:
         """Derive the placement and head schedules, validating consistency."""
@@ -219,10 +218,17 @@ def build_run_config(entries: dict[str, str]) -> RunConfig:
         scalars = reader.fields("run", RunConfig, skip=("model", "exits", "train", "data", "policy"))
         seed = scalars["seed"]
         model = ViTConfig(**reader.fields("model", ViTConfig))
+        exits = ExitSettings(**reader.fields("exits", ExitSettings))
+        if "exits.count" in entries and exits.positions is not None:
+            if exits.count != len(exits.positions):
+                raise ConfigError(
+                    f"exits.count = {exits.count} disagrees with the "
+                    f"{len(exits.positions)} entries of exits.positions"
+                )
         unit = (0.5,) * model.channels
         run = RunConfig(
             model=model,
-            exits=ExitSettings(**reader.fields("exits", ExitSettings)),
+            exits=exits,
             train=TrainConfig(**reader.fields("train", TrainConfig, seed=seed)),
             data=DatasetSpec(
                 **{name: getattr(model, name) for name in _FROM_MODEL},

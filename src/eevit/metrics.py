@@ -1,37 +1,30 @@
 """Line-delimited metric records and CSV curve output.
 
 One record per line as space-separated ``key=value`` pairs with a fixed
-field order: run, phase, epoch/step, then metric names in sorted order,
-and optionally a trailing timestamp.  Timestamps are off by default so
-fixed-seed reruns produce byte-identical streams.
+field order: run, phase, epoch/step, then metric names in sorted order.
+A record holds no wall-clock time, so fixed-seed reruns produce
+byte-identical streams.
 """
 
 from __future__ import annotations
 
-import time
 
-
-def format_record(
-    phase: str, epoch: int, metrics: dict[str, float], timestamp: float | None = None
-) -> str:
+def format_record(phase: str, epoch: int, metrics: dict[str, float]) -> str:
     parts = ["run=run", f"phase={phase}", f"epoch={epoch}"]
     parts += [f"{key}={metrics[key]!r}" for key in sorted(metrics)]
-    if timestamp is not None:
-        parts.append(f"ts={timestamp:.6f}")
     return " ".join(parts)
 
 
 class MetricsWriter:
     """Append-only metric stream bound to one file."""
 
-    def __init__(self, path: str, timestamps: bool = False):
+    def __init__(self, path: str):
         self.path = path
-        self.timestamps = timestamps
         with open(path, "w"):
             pass
 
     def write(self, phase: str, epoch: int, metrics: dict[str, float]) -> str:
-        line = format_record(phase, epoch, metrics, time.time() if self.timestamps else None)
+        line = format_record(phase, epoch, metrics)
         with open(self.path, "a") as fh:
             fh.write(line + "\n")
         return line

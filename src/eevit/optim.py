@@ -8,6 +8,7 @@ from .layers import Parameter
 
 BETAS = (0.9, 0.999)  # Adam's first- and second-moment decay
 EPS = 1e-8  # Adam's denominator floor
+MOMENTUM = 0.9  # SGD's velocity decay
 
 
 class MissingGradientError(RuntimeError):
@@ -21,21 +22,12 @@ class Optimizer:
     the gradients afterwards.
     """
 
-    def __init__(
-        self,
-        params,
-        lr: float,
-        kind: str = "adam",
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params, lr: float, kind: str = "adam"):
         if kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {kind!r}")
         self.params: list[Parameter] = list(params)
         self.lr = lr
         self.kind = kind
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.t = 0
         self._state: list[dict[str, np.ndarray]] = [
             {
@@ -54,18 +46,10 @@ class Optimizer:
             if p.grad is None:
                 raise MissingGradientError(f"parameter {p.name!r} has no gradient")
         self.t += 1
-        if self.weight_decay > 0.0:
-            # Decoupled decay: shrink weights directly, independent of the gradient.
-            for p in self.params:
-                p.data = p.data * (1.0 - self.lr * self.weight_decay)
         if self.kind == "sgd":
             for p, st in zip(self.params, self._state):
-                if self.momentum > 0.0:
-                    st["m"] = self.momentum * st["m"] + p.grad
-                    update = st["m"]
-                else:
-                    update = p.grad
-                p.data = p.data - self.lr * update
+                st["m"] = MOMENTUM * st["m"] + p.grad
+                p.data = p.data - self.lr * st["m"]
         else:
             b1, b2 = BETAS
             bc1 = 1.0 - b1**self.t

@@ -5,7 +5,9 @@ plain cross entropy; exit branches are untouched.  Stage two freezes
 the backbone and final classifier and trains every exit head and
 internal classifier on the combined distillation objective plus a
 per-exit cross entropy that gives label signal to the classifiers the
-distillation terms skip.
+distillation terms skip.  Stage one steps with Adam, stage two with
+momentum SGD at a cosine-decayed rate, and every step first clips the
+global gradient norm to ``CLIP_NORM``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .losses import cross_entropy
 from .metrics import MetricsWriter
 from .optim import Optimizer
 from .vit import EncoderOutput, ViTModel, collect_taps
+
+CLIP_NORM = 1.0  # every step scales the global gradient norm down to at most this
 
 
 class UnfrozenBackboneError(AssertionError):
@@ -122,18 +126,10 @@ class TrainConfig:
     epochs_stage2: int = 12
     batch_size: int = 32
     seed: int = 0
-    # Adam suits the backbone; stage 2 uses plain momentum SGD because the
-    # Gram-matrix distillation term diverges under scale-invariant updates.
-    optimizer: str = "adam"
-    optimizer_stage2: str = "sgd"
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    clip_norm: float = 1.0  # global gradient-norm clip; 0 disables
-    lr_schedule: str = "cosine"  # stage-2 decay: "cosine" or "constant"
 
     def stage2_lr(self, epoch: int) -> float:
-        """Learning rate for a 1-based stage-2 epoch."""
-        if self.lr_schedule == "constant" or self.epochs_stage2 <= 1:
+        """Cosine-decayed learning rate for a 1-based stage-2 epoch; flat for one epoch."""
+        if self.epochs_stage2 <= 1:
             return self.lr_stage2
         progress = (epoch - 1) / self.epochs_stage2
         return self.lr_stage2 * 0.5 * (1.0 + math.cos(math.pi * progress))
@@ -169,22 +165,12 @@ def clip_gradients(params, max_norm: float) -> float:
     if not math.isfinite(norm):
         bad = (p.name for p in params if p.grad is not None and not np.isfinite(p.grad).all())
         raise NonFiniteGradientError(next(bad, None), norm)
-    if max_norm > 0.0 and norm > max_norm:
+    if norm > max_norm:
         scale = max_norm / norm
         for p in params:
             if p.grad is not None:
                 p.grad = p.grad * scale
     return norm
-
-
-def make_optimizer(params, lr: float, cfg: TrainConfig, kind: str | None = None) -> Optimizer:
-    return Optimizer(
-        params,
-        lr=lr,
-        kind=kind if kind is not None else cfg.optimizer,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-    )
 
 
 def _parts(model: ViTModel, branches: list[ExitBranch] | None) -> list[tuple[str, Module]]:
@@ -261,7 +247,7 @@ def _epoch_pass(
         if opt is not None:
             ag.backward(loss)
             try:
-                clip_gradients(opt.params, cfg.clip_norm)
+                clip_gradients(opt.params, CLIP_NORM)
             except NonFiniteGradientError as exc:
                 raise NonFiniteGradientError(exc.parameter, exc.norm, stage, epoch, batch) from None
             opt.step()
@@ -285,7 +271,7 @@ def stage1_train(
 ) -> list[dict[str, float]]:
     """Cross-entropy training of backbone plus final classifier."""
     model.train()
-    opt = make_optimizer(model.parameters(), cfg.lr_stage1, cfg)
+    opt = Optimizer(model.parameters(), cfg.lr_stage1, "adam")
     crop, flip = augment
 
     def step(idx, rng):
@@ -460,7 +446,9 @@ def stage2_train(
     branch_params = [
         p for part, b in _parts(model, branches)[1:] for _, p in b.named_parameters(f"{part}.")
     ]
-    opt = make_optimizer(branch_params, cfg.lr_stage2, cfg, kind=cfg.optimizer_stage2)
+    # Momentum SGD, not Adam: the Gram-matrix distillation term diverges
+    # under scale-invariant updates.
+    opt = Optimizer(branch_params, cfg.lr_stage2, "sgd")
     table = None
     if not any(augment):
         table = _frozen_table(

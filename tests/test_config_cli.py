@@ -134,6 +134,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             build_run_config(entries)
 
+    @pytest.mark.parametrize("count", ["3", "5"])
+    def test_count_disagreeing_with_explicit_positions_rejected(self, count):
+        with pytest.raises(ConfigError, match=f"exits.count = {count} disagrees with the 4 entries"):
+            build_run_config({"exits.count": count})
+
 
 class TestCli:
     def _conf(self, tmp_path, extra=""):
@@ -243,6 +248,17 @@ class TestCli:
         save_checkpoint(ckpt, full_state(system.model, system.branches))
         assert main(["train", "--config", conf, "--stage", "2", "--checkpoint", ckpt]) == 0
         assert os.path.exists(tmp_path / "out" / "stage2_final.ckpt")
+
+    def test_analyze_attention_layer_zero_is_validation_error(self, tmp_path, capsys):
+        conf = self._conf(tmp_path)
+        system = build_system(build_run_config(parse_config_text(TINY_CONF)))
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, full_state(system.model, system.branches))
+        out = tmp_path / "analysis"
+        args = ["--out", str(out), "--probe", "4", "--attn-layer", "0"]
+        assert main(["analyze", "--config", conf, "--checkpoint", ckpt, *args]) == 1
+        assert "layer 0 out of range 1..6" in capsys.readouterr().err
+        assert not [name for name in os.listdir(out) if name.startswith("attention_layer")]
 
     def test_gen_data_and_raw_eval_round_trip(self, tmp_path, capsys):
         conf = self._conf(tmp_path)

@@ -1,18 +1,24 @@
 """The accepted config keys: the fields of the dataclasses the config fills,
-read by ``build_run_config`` and listed in the README's key table."""
+read by ``build_run_config``, listed in the README's key table and shown
+in ``configs/desk.conf``."""
 
 import os
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
+
+import pytest
 
 from eevit import config
-from eevit.config import ExitSettings, RunConfig, build_run_config
+from eevit.cli import main
+from eevit.config import ExitSettings, RunConfig, build_run_config, parse_config_file
 from eevit.data import DatasetSpec
 from eevit.inference import ExitPolicy
 from eevit.train import TrainConfig
 from eevit.vit import ViTConfig
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+DESK_CONF = os.path.join(ROOT, "configs", "desk.conf")
 SECTIONS = {
     "model": ViTConfig,
     "exits": ExitSettings,
@@ -48,8 +54,41 @@ def test_reader_reads_exactly_the_derived_keys(monkeypatch):
     monkeypatch.setattr(config._Reader, "reject_unknown", lambda self: read.append(set(self.used)))
     build_run_config({})
     assert read == [derived_keys()]
-    assert len(derived_keys()) == 45
+    assert len(derived_keys()) == 38
 
 
 def test_readme_table_lists_the_accepted_keys():
     assert readme_keys() == derived_keys()
+
+
+def test_desk_conf_is_the_defaults_but_its_output_dir():
+    entries = parse_config_file(DESK_CONF)
+    assert set(entries) <= derived_keys()
+    desk = build_run_config(entries)
+    default = build_run_config({})
+    assert desk.output_dir == "runs/desk"
+    assert replace(desk, output_dir=default.output_dir) == default
+
+
+# The training recipe is fixed in code (README, "Two-stage training"); these
+# former keys, each at its old default, are unknown like any other key.
+@pytest.mark.parametrize(
+    "item",
+    [
+        "train.optimizer=adam",
+        "train.optimizer_stage2=sgd",
+        "train.momentum=0.9",
+        "train.weight_decay=0",
+        "train.clip_norm=1.0",
+        "train.lr_schedule=cosine",
+        "run.timestamps=false",
+    ],
+)
+def test_removed_recipe_keys_are_unknown(item, tmp_path, capsys):
+    # A small run, so that a key accepted by mistake fails fast instead of training at desk size.
+    entries = [item, f"run.output_dir={tmp_path}", "data.per_class=1"]
+    entries += ["train.epochs_stage1=1", "train.epochs_stage2=1"]
+    assert main(["train", *(arg for entry in entries for arg in ("--set", entry))]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and item.split("=")[0] in err
+    assert os.listdir(tmp_path) == []
