@@ -103,10 +103,9 @@ def _cmd_train(args) -> int:
     os.makedirs(run.output_dir, exist_ok=True)
     system = build_system(run)
     dataset = build_dataset(run.data)
-    augment = (run.data.random_crop, run.data.random_flip)
     if args.stage in ("1", "all"):
         writer = MetricsWriter(os.path.join(run.output_dir, "metrics_stage1.txt"))
-        history = stage1_train(system.model, dataset, run.train, run.output_dir, writer, augment)
+        history = stage1_train(system.model, dataset, run.train, run.output_dir, writer)
         print(f"stage 1 done: train_acc={history[-1]['train_acc']:.4f}")
     if args.stage in ("2", "all"):
         if args.stage == "2":
@@ -116,7 +115,7 @@ def _cmd_train(args) -> int:
         writer = MetricsWriter(os.path.join(run.output_dir, "metrics_stage2.txt"))
         history = stage2_train(
             system.model, system.branches, dataset, run.train, system.placement,
-            run.output_dir, writer, augment,
+            run.output_dir, writer,
         )
         accs = " ".join(
             f"exit{i + 1}={history[-1][f'exit{i + 1}_acc']:.4f}"
@@ -184,7 +183,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_macs(args) -> int:
     run = _load_run(args)
     placement, kernels, windows = run.resolve()
-    profile = model_macs(run.model, placement, kernels, windows, run.exits.expansion)
+    profile = model_macs(run.model, placement, kernels, windows)
     records = [
         ("backbone_macs", profile.backbone_total()),
         ("full_macs_with_heads", profile.full_total()),
@@ -202,15 +201,19 @@ def _cmd_macs(args) -> int:
 
 def _cmd_analyze(args) -> int:
     run, system, dataset = _load_restored(args)
+    if args.probe < 2:
+        raise ConfigError(f"--probe must be at least 2, got {args.probe}")
+    if not 0 <= args.attn_sample < len(dataset):
+        raise ConfigError(f"--attn-sample {args.attn_sample} out of range 0..{len(dataset) - 1}")
     out_dir = args.out or run.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    probe = dataset.images[: args.probe]
-    taps = layer_feature_taps(system.model, probe)
+    layer = run.model.layers if args.attn_layer is None else args.attn_layer
+    # Exported first, so that its layer check fails before any CSV is written.
+    grid, cls_self = attention_map_export(system.model, dataset.images[args.attn_sample], layer)
+    taps = layer_feature_taps(system.model, dataset.images[: args.probe])
     heatmap = cka_heatmap(taps, taps)
     write_grid_csv(os.path.join(out_dir, "cka_self.csv"), heatmap)
     print(f"cka diagonal: {np.diagonal(heatmap).round(6).tolist()}")
-    layer = run.model.layers if args.attn_layer is None else args.attn_layer
-    grid, cls_self = attention_map_export(system.model, dataset.images[args.attn_sample], layer)
     write_grid_csv(os.path.join(out_dir, f"attention_layer{layer}.csv"), grid)
     print(f"attention grid written for layer {layer}; cls self-weight {cls_self:.6f}")
     return 0

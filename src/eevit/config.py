@@ -167,7 +167,6 @@ class ExitSettings:
     windows: tuple[int, ...] | None = None
     k_max: int = 5
     g_max: int = 4
-    expansion: int = 1
 
 
 @dataclass
@@ -263,8 +262,6 @@ def build_system(run: RunConfig) -> System:
     placement, kernels, windows = run.resolve()
     rng = np.random.default_rng(np.random.SeedSequence([run.seed, 0]))
     model = ViTModel(run.model, rng)
-    branches = build_exit_branches(
-        run.model, placement, kernels, windows, rng, run.exits.expansion
-    )
-    profile = model_macs(run.model, placement, kernels, windows, run.exits.expansion)
+    branches = build_exit_branches(run.model, placement, kernels, windows, rng)
+    profile = model_macs(run.model, placement, kernels, windows)
     return System(run, model, branches, placement, kernels, windows, profile)

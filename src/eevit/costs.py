@@ -32,12 +32,12 @@ def mac_mhsa(n: int, d: int) -> int:
     return 4 * n * d * d + 2 * n * n * d
 
 
-def mac_lph(n: int, d: int, k: int, expansion: int = 1) -> int:
+def mac_lph(n: int, d: int, k: int) -> int:
     """Local-perception head: two pointwise convs and a depthwise k x k mix.
 
     ``k = 0`` is the bypass case, leaving only the pointwise work.
     """
-    return 2 * expansion * n * d * d + expansion * n * d * k * k
+    return 2 * n * d * d + n * d * k * k
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -106,7 +106,6 @@ def model_macs(
     placement: ExitPlacement | None = None,
     kernels: KernelSchedule | None = None,
     windows: WindowSchedule | None = None,
-    expansion: int = 1,
 ) -> MacProfile:
     """Walk the architecture statically and count every component's MACs."""
     n = config.num_patches
@@ -120,7 +119,7 @@ def model_macs(
     if placement is not None:
         for position, kind in zip(placement.positions, placement.kinds):
             if kind == "lph":
-                heads[position] = mac_lph(n, d, kernels.kernel_for(position), expansion)
+                heads[position] = mac_lph(n, d, kernels.kernel_for(position))
             elif kind == "gah":
                 heads[position] = mac_gah(n, d, windows.window_for(position))
             else:

@@ -1,4 +1,4 @@
-"""Datasets: the raw binary image format, a synthetic generator, augmentation.
+"""Datasets: the raw binary image format and a synthetic generator.
 
 Raw record layout: one unsigned label byte, then H*W*C unsigned pixel
 bytes in channel-major order.  Pixels are scaled to [0, 1] and then
@@ -7,6 +7,7 @@ normalized with the dataset's per-channel constants.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -32,8 +33,6 @@ class DatasetSpec:
     noise: float = 0.05
     mean: tuple[float, ...] = (0.5, 0.5, 0.5)
     std: tuple[float, ...] = (0.5, 0.5, 0.5)
-    random_crop: bool = False
-    random_flip: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +40,13 @@ class DatasetSpec:
             raise ValueError(f"source must be 'synthetic' or 'raw', got {self.source!r}")
         if len(self.mean) != self.channels or len(self.std) != self.channels:
             raise ValueError("normalization constants must have one entry per channel")
-        if any(s <= 0 for s in self.std):
-            raise ValueError("std entries must be positive")
+        # Written as ``not lo <= x < hi`` so that NaN fails too.
+        if not all(0.0 < s < math.inf for s in self.std):
+            raise ValueError(f"std entries must be positive and finite, got {self.std}")
+        if not all(math.isfinite(m) for m in self.mean):
+            raise ValueError(f"mean entries must be finite, got {self.mean}")
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError(f"noise must be nonnegative and finite, got {self.noise}")
 
 
 @dataclass
@@ -146,30 +150,3 @@ def build_dataset(spec: DatasetSpec) -> LabeledDataset:
 
 def quantize_to_bytes(pixels01: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(pixels01 * 255.0), 0, 255).astype(np.uint8)
-
-
-CROP_PAD = 4  # zero border added before a random crop back to the image size
-
-
-def augment_batch(
-    images: np.ndarray, rng: np.random.Generator, crop: bool, flip: bool
-) -> np.ndarray:
-    """Random crop (``CROP_PAD`` zero padding) and horizontal flip, per sample."""
-    if not crop and not flip:
-        return images
-    out = images
-    if crop:
-        n, c, h, w = out.shape
-        pad = CROP_PAD
-        padded = np.pad(out, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
-        cropped = np.empty_like(out)
-        for i in range(n):
-            oy, ox = offs[i]
-            cropped[i] = padded[i, :, oy : oy + h, ox : ox + w]
-        out = cropped
-    if flip:
-        mask = rng.random(len(out)) < 0.5
-        out = out.copy()
-        out[mask] = out[mask, :, :, ::-1]
-    return out

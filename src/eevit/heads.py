@@ -226,26 +226,18 @@ class _ConvStage(Module):
 class LocalPerceptionHead(Module):
     """Convolutional exit head for shallow taps.
 
-    Expand with a pointwise convolution, mix spatially with a depthwise
-    convolution whose kernel comes from the schedule (zero means the
-    stage is skipped entirely), project back to width D, then add the
-    class token to the pooled token map.
+    A pointwise convolution, a depthwise convolution whose kernel comes
+    from the schedule (zero means the stage is skipped entirely), and a
+    second pointwise convolution, all at width D; then the class token is
+    added to the pooled token map.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        kernel: int,
-        rng: np.random.Generator,
-        expansion: int = 1,
-    ):
+    def __init__(self, dim: int, kernel: int, rng: np.random.Generator):
         super().__init__()
-        hidden = dim * expansion
-        self.expand = _ConvStage(Linear(dim, hidden, rng), hidden)
-        self.spatial = (
-            _ConvStage(DepthwiseConv2d(hidden, kernel, rng), hidden) if kernel > 0 else None
-        )
-        self.project = _ConvStage(Linear(hidden, dim, rng), dim)
+        # "expand" and "project" name the two pointwise stages in checkpoints.
+        self.expand = _ConvStage(Linear(dim, dim, rng), dim)
+        self.spatial = _ConvStage(DepthwiseConv2d(dim, kernel, rng), dim) if kernel > 0 else None
+        self.project = _ConvStage(Linear(dim, dim, rng), dim)
 
     def spatial_mix(self, tokens: Tensor) -> Tensor:
         """Depthwise grid convolution; the zero-kernel schedule entry bypasses it."""
@@ -330,14 +322,13 @@ def build_exit_branches(
     kernels: KernelSchedule,
     windows: WindowSchedule,
     rng: np.random.Generator,
-    expansion: int = 1,
 ) -> list[ExitBranch]:
     if placement.layers_total != config.layers:
         raise PlacementError("placement depth does not match the backbone")
     branches = []
     for position, kind in zip(placement.positions, placement.kinds):
         if kind == "lph":
-            head = LocalPerceptionHead(config.dim, kernels.kernel_for(position), rng, expansion)
+            head = LocalPerceptionHead(config.dim, kernels.kernel_for(position), rng)
         elif kind == "gah":
             head = GlobalAggregationHead(config.dim, windows.window_for(position), config.heads, rng)
         else:

@@ -29,12 +29,9 @@ class Optimizer:
         self.lr = lr
         self.kind = kind
         self.t = 0
+        moments = ("m", "v") if kind == "adam" else ("m",)  # SGD keeps only its velocity
         self._state: list[dict[str, np.ndarray]] = [
-            {
-                "m": np.zeros_like(p.data),
-                "v": np.zeros_like(p.data),
-            }
-            for p in self.params
+            {name: np.zeros_like(p.data) for name in moments} for p in self.params
         ]
 
     def zero_grad(self) -> None:

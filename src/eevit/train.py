@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor, no_grad
 from .checkpoint import save_checkpoint
-from .data import LabeledDataset, augment_batch
+from .data import LabeledDataset
 from .distill import (
     AlignModule,
     DistillationParts,
@@ -135,12 +135,19 @@ class TrainConfig:
         return self.lr_stage2 * 0.5 * (1.0 + math.cos(math.pi * progress))
 
     def __post_init__(self):
+        # Written as ``not lo <= x < hi`` so that NaN fails too.
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        for name in ("alpha", "beta", "lr_stage1", "lr_stage2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        for name in ("epochs_stage1", "epochs_stage2"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
 
@@ -227,7 +234,7 @@ def _epoch_pass(
 ) -> dict[str, float]:
     """One seeded pass over ``dataset`` in ``cfg.batch_size`` batches; the one epoch loop.
 
-    ``step(idx, rng)`` computes batch ``idx`` and returns its loss, its
+    ``step(idx)`` computes batch ``idx`` and returns its loss, its
     scalars and one row of predictions per accuracy name.  A non-finite
     loss or gradient names the stage, epoch and batch.  With an
     optimizer, each batch is backpropagated, clipped and stepped; without
@@ -240,7 +247,7 @@ def _epoch_pass(
     seen = 0
     for batch, idx in enumerate(_batches(len(dataset), cfg.batch_size, rng), 1):
         with no_grad() if opt is None else nullcontext():
-            loss, scalars, preds = step(idx, rng)
+            loss, scalars, preds = step(idx)
         value = loss.item()
         if not math.isfinite(value):
             raise NonFiniteLossError(stage, epoch, batch, value)
@@ -267,16 +274,13 @@ def stage1_train(
     cfg: TrainConfig,
     out_dir: str | None = None,
     writer: MetricsWriter | None = None,
-    augment: tuple[bool, bool] = (False, False),
 ) -> list[dict[str, float]]:
     """Cross-entropy training of backbone plus final classifier."""
     model.train()
     opt = Optimizer(model.parameters(), cfg.lr_stage1, "adam")
-    crop, flip = augment
 
-    def step(idx, rng):
-        images = augment_batch(dataset.images[idx], rng, crop, flip)
-        logits = model.forward(Tensor(images))
+    def step(idx):
+        logits = model.forward(Tensor(dataset.images[idx]))
         loss = cross_entropy(logits, dataset.labels[idx])
         return loss, {"loss_ce": loss.item()}, logits.data.argmax(axis=-1)[None]
 
@@ -411,7 +415,6 @@ def stage2_train(
     placement: ExitPlacement,
     out_dir: str | None = None,
     writer: MetricsWriter | None = None,
-    augment: tuple[bool, bool] = (False, False),
 ) -> list[dict[str, float]]:
     """Distillation training of the exit branches against the frozen backbone.
 
@@ -420,16 +423,15 @@ def stage2_train(
     final-classifier parameter changed bit for bit.  Warns once when the
     placement is not LGViT's, so the distillation terms are off.
 
-    The backbone's outputs and the aligned teachers depend only on the
-    image, so without augmentation they are computed once, before the
-    first pass, into a table of ``FrozenOutputs`` rows in dataset order
+    The backbone is frozen, so its outputs and the aligned teachers
+    depend only on the image.  They are computed once, before the first
+    pass, into a table of ``FrozenOutputs`` rows in dataset order
     (``batch_size`` images per forward), and every pass gathers its
     batches from it.  The table holds n * (k*T*D + sum_m t_m*D + C)
     float64 values: n images, k exits, T = N + 1 tokens of width D,
     t_m aligned tokens for heterogeneous ordinal m (none without
     distillation), C classes; 54 MB for 1000 desk images (t = 16, 16,
-    4, 1).  With crop or flip on, each batch's images differ per pass,
-    so the outputs are computed per batch instead.
+    4, 1).
     """
     align_modules = build_align_modules(model, branches) if _distillation_supported(placement) else {}
     if not align_modules:
@@ -449,20 +451,10 @@ def stage2_train(
     # Momentum SGD, not Adam: the Gram-matrix distillation term diverges
     # under scale-invariant updates.
     opt = Optimizer(branch_params, cfg.lr_stage2, "sgd")
-    table = None
-    if not any(augment):
-        table = _frozen_table(
-            model, dataset.images, cfg.batch_size, placement.positions, align_modules
-        )
-    crop, flip = augment
+    table = _frozen_table(model, dataset.images, cfg.batch_size, placement.positions, align_modules)
 
-    def step(idx, rng):
-        if table is not None:
-            frozen = table.rows(idx)
-        else:
-            images = augment_batch(dataset.images[idx], rng, crop, flip)
-            frozen = frozen_outputs(model, images, placement.positions, align_modules)
-        return stage2_batch_losses(branches, frozen, dataset.labels[idx], cfg)
+    def step(idx):
+        return stage2_batch_losses(branches, table.rows(idx), dataset.labels[idx], cfg)
 
     names = [f"exit{i + 1}_acc" for i in range(len(branches))]
     for branch in branches:

@@ -89,6 +89,33 @@ class TestValidation:
         with pytest.raises(ConfigError):
             build_run_config({"policy.tau": "-0.5"})
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "train.alpha=nan",
+            "train.beta=nan",
+            "train.beta=inf",
+            "train.gamma=nan",
+            "train.temperature=nan",
+            "train.temperature=inf",
+            "train.lr_stage1=nan",
+            "train.lr_stage1=-1",
+            "train.lr_stage2=inf",
+            "train.epochs_stage1=-3",
+            "train.epochs_stage2=-1",
+            "data.noise=nan",
+            "data.noise=-1",
+            "data.std=0.5,nan,0.5",
+            "data.mean=inf,0.5,0.5",
+        ],
+    )
+    def test_nan_or_out_of_range_number_fails_before_training(self, item, tmp_path, capsys):
+        entries = [item, f"run.output_dir={tmp_path}", "data.per_class=1"]
+        assert main(["train", *(arg for entry in entries for arg in ("--set", entry))]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and item.split("=")[0].split(".")[1] in err
+        assert os.listdir(tmp_path) == []
+
     def test_train_hyperparameter_bounds(self):
         with pytest.raises(ConfigError):
             build_run_config({"train.gamma": "1.5"})
@@ -249,16 +276,37 @@ class TestCli:
         assert main(["train", "--config", conf, "--stage", "2", "--checkpoint", ckpt]) == 0
         assert os.path.exists(tmp_path / "out" / "stage2_final.ckpt")
 
-    def test_analyze_attention_layer_zero_is_validation_error(self, tmp_path, capsys):
+    def _analyze(self, tmp_path, *args) -> int:
+        """``eevit analyze`` of a fresh tiny system, writing to ``tmp_path/analysis``."""
         conf = self._conf(tmp_path)
         system = build_system(build_run_config(parse_config_text(TINY_CONF)))
         ckpt = str(tmp_path / "init.ckpt")
         save_checkpoint(ckpt, full_state(system.model, system.branches))
-        out = tmp_path / "analysis"
-        args = ["--out", str(out), "--probe", "4", "--attn-layer", "0"]
-        assert main(["analyze", "--config", conf, "--checkpoint", ckpt, *args]) == 1
+        out = str(tmp_path / "analysis")
+        return main(["analyze", "--config", conf, "--checkpoint", ckpt, "--out", out, *args])
+
+    def test_analyze_attention_layer_zero_is_validation_error(self, tmp_path, capsys):
+        assert self._analyze(tmp_path, "--probe", "4", "--attn-layer", "0") == 1
         assert "layer 0 out of range 1..6" in capsys.readouterr().err
-        assert not [name for name in os.listdir(out) if name.startswith("attention_layer")]
+        assert os.listdir(tmp_path / "analysis") == []  # not even the CKA heatmap
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--attn-sample", "-1", "--attn-sample -1 out of range 0..31"),
+            ("--attn-sample", "32", "--attn-sample 32 out of range 0..31"),
+            ("--attn-sample", "100000", "--attn-sample 100000 out of range 0..31"),
+            ("--probe", "1", "--probe must be at least 2"),
+            ("--probe", "-4", "--probe must be at least 2"),
+        ],
+        ids=["attn-sample=-1", "attn-sample=32", "attn-sample=100000", "probe=1", "probe=-4"],
+    )
+    def test_analyze_sample_or_probe_out_of_range_is_validation_error(
+        self, tmp_path, capsys, option, value, message
+    ):
+        assert self._analyze(tmp_path, option, value) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "analysis").exists()  # rejected before any CSV is written
 
     def test_gen_data_and_raw_eval_round_trip(self, tmp_path, capsys):
         conf = self._conf(tmp_path)

@@ -54,7 +54,7 @@ def test_reader_reads_exactly_the_derived_keys(monkeypatch):
     monkeypatch.setattr(config._Reader, "reject_unknown", lambda self: read.append(set(self.used)))
     build_run_config({})
     assert read == [derived_keys()]
-    assert len(derived_keys()) == 38
+    assert len(derived_keys()) == 35
 
 
 def test_readme_table_lists_the_accepted_keys():
@@ -70,8 +70,9 @@ def test_desk_conf_is_the_defaults_but_its_output_dir():
     assert replace(desk, output_dir=default.output_dir) == default
 
 
-# The training recipe is fixed in code (README, "Two-stage training"); these
-# former keys, each at its old default, are unknown like any other key.
+# Former keys, each at its old default, are unknown like any other key: the
+# training recipe is fixed in code (README, "Two-stage training"), the LPH runs
+# at the model width, and training does not augment its images.
 @pytest.mark.parametrize(
     "item",
     [
@@ -82,6 +83,9 @@ def test_desk_conf_is_the_defaults_but_its_output_dir():
         "train.clip_norm=1.0",
         "train.lr_schedule=cosine",
         "run.timestamps=false",
+        "exits.expansion=1",
+        "data.random_crop=false",
+        "data.random_flip=false",
     ],
 )
 def test_removed_recipe_keys_are_unknown(item, tmp_path, capsys):

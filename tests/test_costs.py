@@ -46,7 +46,6 @@ class TestFormulas:
     def test_lph_values_and_bypass(self):
         assert mac_lph(16, 4, 3) == 1088
         assert mac_lph(10, 6, 0) == 2 * 10 * 36
-        assert mac_lph(16, 4, 3, expansion=2) == 2 * (2 * 16 * 16) + 2 * 16 * 4 * 9
 
     def test_gah_divisible_case(self):
         assert mac_gah(16, 4, 2) == 384

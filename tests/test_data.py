@@ -1,15 +1,12 @@
-"""Raw binary dataset format, synthetic generator, augmentation."""
+"""Raw binary dataset format and synthetic generator."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eevit.data import (
     DatasetSpec,
     LabelRangeError,
     TruncatedRecordError,
-    augment_batch,
     build_dataset,
     gen_synthetic,
     load_raw_images,
@@ -128,32 +125,3 @@ class TestBuildDataset:
     def test_normalization_constants_must_match_channels(self):
         with pytest.raises(ValueError):
             DatasetSpec(mean=(0.5,), std=(0.5, 0.5, 0.5))
-
-
-class TestAugmentation:
-    def test_disabled_returns_input(self, rng):
-        images = rng.standard_normal((4, 3, 16, 16))
-        out = augment_batch(images, rng, crop=False, flip=False)
-        assert out is images
-
-    def test_flip_mirrors_width(self):
-        images = np.arange(2 * 3 * 4 * 4, dtype=np.float64).reshape(2, 3, 4, 4)
-        r = np.random.default_rng(1)  # first draws: one below 0.5, one above
-        out = augment_batch(images, r, crop=False, flip=True)
-        for i in range(2):
-            flipped = np.array_equal(out[i], images[i, :, :, ::-1])
-            kept = np.array_equal(out[i], images[i])
-            assert flipped or kept
-
-    def test_crop_preserves_shape(self, rng):
-        images = rng.standard_normal((4, 3, 16, 16))
-        out = augment_batch(images, rng, crop=True, flip=False)
-        assert out.shape == images.shape
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_augmentation_deterministic_per_seed(self, seed):
-        images = np.arange(2 * 3 * 8 * 8, dtype=np.float64).reshape(2, 3, 8, 8)
-        a = augment_batch(images, np.random.default_rng(seed), crop=True, flip=True)
-        b = augment_batch(images, np.random.default_rng(seed), crop=True, flip=True)
-        np.testing.assert_array_equal(a, b)

@@ -112,7 +112,7 @@ class TestLocalPerceptionHead:
 
     def test_matches_hand_evaluation(self, rng):
         # Full pipeline with hand-set weights, eval-mode norms at their
-        # initial running statistics, D=4, N=4, expansion 1, k=3.
+        # initial running statistics, D=4, N=4, k=3.
         d, n = 4, 4
         head = LocalPerceptionHead(d, kernel=3, rng=rng)
         head.eval()
@@ -144,11 +144,10 @@ class TestLocalPerceptionHead:
         np.testing.assert_allclose(out.data, expect, rtol=1e-10)
 
     def test_output_width_is_dim(self, rng):
-        for expansion in (1, 2):
-            head = LocalPerceptionHead(6, kernel=3, rng=rng, expansion=expansion)
-            head.eval()
-            out, _ = head(Tensor(rng.standard_normal((2, 16, 6))), Tensor(np.zeros((2, 6))))
-            assert out.shape == (2, 6)
+        head = LocalPerceptionHead(6, kernel=3, rng=rng)
+        head.eval()
+        out, _ = head(Tensor(rng.standard_normal((2, 16, 6))), Tensor(np.zeros((2, 6))))
+        assert out.shape == (2, 6)
 
 
 class TestGlobalAggregationHead:

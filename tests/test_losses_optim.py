@@ -125,6 +125,13 @@ class TestOptimizer:
         with pytest.raises(MissingGradientError):
             opt.step()
 
+    def test_sgd_keeps_only_its_velocity(self):
+        params = [_param([1.0, 2.0]), _param(3.0)]
+        sgd = Optimizer(params, lr=0.1, kind="sgd")
+        assert [set(st) for st in sgd._state] == [{"m"}, {"m"}]
+        adam = Optimizer(params, lr=0.1, kind="adam")
+        assert [set(st) for st in adam._state] == [{"m", "v"}, {"m", "v"}]
+
     def test_gradients_cleared_after_step(self):
         p = _param(1.0)
         opt = Optimizer([p], lr=0.1, kind="sgd")

@@ -177,15 +177,6 @@ class TestStage2:
         stage2_train(system.model, system.branches, dataset, run.train, system.placement)
         assert calls == [math.ceil(len(dataset) / run.train.batch_size)]
 
-    def test_frozen_backbone_runs_per_batch_with_flip(self, monkeypatch):
-        run, system, dataset = small_run(epochs2=2)
-        calls = _count_collect_taps(monkeypatch)
-        stage2_train(
-            system.model, system.branches, dataset, run.train, system.placement, augment=(False, True)
-        )
-        batches = math.ceil(len(dataset) / run.train.batch_size)
-        assert calls == [(run.train.epochs_stage2 + 1) * batches]
-
     @pytest.mark.parametrize("epochs2", [1, 3])
     def test_teachers_aligned_once_per_chunk_without_augmentation(self, monkeypatch, epochs2):
         run, system, dataset = small_run(epochs2=epochs2)
@@ -193,16 +184,6 @@ class TestStage2:
         stage2_train(system.model, system.branches, dataset, run.train, system.placement)
         ordinals = len(heterogeneous_ordinals(system.placement.count))
         assert calls == [ordinals * math.ceil(len(dataset) / run.train.batch_size)]
-
-    def test_teachers_aligned_per_batch_with_flip(self, monkeypatch):
-        run, system, dataset = small_run(epochs2=2)
-        calls = _count_align_calls(monkeypatch)
-        stage2_train(
-            system.model, system.branches, dataset, run.train, system.placement, augment=(False, True)
-        )
-        ordinals = len(heterogeneous_ordinals(system.placement.count))
-        batches = math.ceil(len(dataset) / run.train.batch_size)
-        assert calls == [ordinals * (run.train.epochs_stage2 + 1) * batches]
 
     def test_table_rows_match_a_recomputed_permuted_batch(self, rng):
         run, system, dataset = small_run(per_class=12)
