@@ -65,15 +65,6 @@ def apply_overrides(entries: dict[str, str], overrides: list[str]) -> dict[str, 
     return merged
 
 
-def _to_bool(value: str, key: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-
 def _to_int(value: str, key: str) -> int:
     try:
         return int(value)
@@ -118,7 +109,6 @@ _PARSERS = {
     int: _to_int,
     float: _to_float,
     str: lambda value, key: value,
-    bool: _to_bool,
     tuple[int, ...] | None: _to_int_list,
     tuple[str, ...] | None: _to_str_list,
     tuple[float, ...]: _to_float_list,
@@ -165,8 +155,6 @@ class ExitSettings:
     kinds: tuple[str, ...] | None = None
     kernels: tuple[int, ...] | None = None
     windows: tuple[int, ...] | None = None
-    k_max: int = 5
-    g_max: int = 4
 
 
 @dataclass
@@ -184,7 +172,7 @@ class RunConfig:
         ex = self.exits
         positions = ex.positions
         if positions is None:
-            positions = place_exits(model_macs(self.model).per_block, ex.count).positions
+            positions = place_exits(self.model.layers, ex.count).positions
         overrides = None
         if ex.kinds is not None:
             if len(ex.kinds) != len(positions):
@@ -193,16 +181,17 @@ class RunConfig:
         placement = ExitPlacement.with_default_kinds(self.model.layers, positions, overrides)
         lph = placement.lph_positions()
         gah = placement.gah_positions()
-        # The linear schedules check k_max and g_max even where an explicit list replaces them.
-        kernels = KernelSchedule.linear(lph, self.model.layers, ex.k_max)
-        if ex.kernels is not None:
-            if len(ex.kernels) != len(lph):
-                raise ConfigError("exits.kernels must align with the conv exits")
+        if ex.kernels is None:
+            kernels = KernelSchedule.linear(lph, self.model.layers)
+        elif len(ex.kernels) != len(lph):
+            raise ConfigError("exits.kernels must align with the conv exits")
+        else:
             kernels = KernelSchedule(dict(zip(lph, ex.kernels)))
-        windows = WindowSchedule.linear(gah, self.model.layers, ex.g_max)
-        if ex.windows is not None:
-            if len(ex.windows) != len(gah):
-                raise ConfigError("exits.windows must align with the attention exits")
+        if ex.windows is None:
+            windows = WindowSchedule.linear(gah, self.model.layers)
+        elif len(ex.windows) != len(gah):
+            raise ConfigError("exits.windows must align with the attention exits")
+        else:
             windows = WindowSchedule(dict(zip(gah, ex.windows)))
         return placement, kernels, windows
 

@@ -9,7 +9,6 @@ width-D feature vector that feeds a per-exit linear classifier.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,9 @@ from .layers import (
 from .vit import EncoderOutput, MultiHeadSelfAttention, ViTConfig
 
 HEAD_KINDS = ("lph", "gah", "mlp")
+# The linear schedules' bounds: kernels shrink from K_MAX, windows grow to G_MAX.
+K_MAX = 5
+G_MAX = 4
 
 
 class PlacementError(ValueError):
@@ -84,43 +86,25 @@ class ExitPlacement:
         return cls(layers_total, positions, kinds)
 
 
-def place_exits(per_block_macs, num_exits: int) -> ExitPlacement:
-    """Choose exit layers so the compute between cuts is as even as possible.
+def place_exits(layers_total: int, num_exits: int) -> ExitPlacement:
+    """Place the exits so the backbone segments between them have equal depth.
 
-    Minimizes the variance of the backbone MACs of the segments delimited
-    by the exits (including the tail from the last exit to the final
-    layer).  With the segment count and total fixed, that is the least
-    sum of squared segment MACs, which a dynamic program over (segments,
-    first layer) finds exactly in O(k L^2).  Block values are used as
-    given, so integer MAC counts make ties exact; ties resolve to the
-    shallowest position tuple.
+    Every encoder block costs the same, so equal depth is equal compute.
+    The L blocks split into k + 1 segments of L // (k + 1) blocks (the
+    tail from the last exit to the final layer included), the last
+    L % (k + 1) of them one block longer, and the exits sit at the
+    segment ends.  Of the even splits, this is the shallowest.
     """
-    prefix = [0, *itertools.accumulate(np.asarray(per_block_macs).tolist())]
-    layers_total = len(prefix) - 1
     if num_exits >= layers_total:
         raise PlacementError(
             f"cannot place {num_exits} exits in a {layers_total}-layer backbone"
         )
     if num_exits < 1:
         raise PlacementError("need at least one exit")
-    # tail[i]: (least sum of squares cutting blocks i+1..L into one segment
-    # more than the previous tail, shallowest first cut reaching it)
-    tail = [((prefix[-1] - prefix[i]) ** 2, layers_total) for i in range(layers_total)]
-    tails = []
-    for _ in range(num_exits):
-        tail = [
-            min(
-                (((prefix[c] - prefix[i]) ** 2 + tail[c][0], c) for c in range(i + 1, layers_total)),
-                default=(math.inf, layers_total),
-            )
-            for i in range(layers_total)
-        ]
-        tails.append(tail)
-    positions, start = [], 0
-    for tail in reversed(tails):
-        start = tail[start][1]
-        positions.append(start)
-    return ExitPlacement.with_default_kinds(layers_total, positions)
+    segments = num_exits + 1
+    short, longer = divmod(layers_total, segments)
+    lengths = [short + (i >= segments - longer) for i in range(num_exits)]
+    return ExitPlacement.with_default_kinds(layers_total, itertools.accumulate(lengths))
 
 
 def _nearest_odd_or_zero(x: float) -> int:
@@ -148,10 +132,8 @@ class KernelSchedule:
         return self.kernels[position]
 
     @classmethod
-    def linear(cls, lph_positions, layers_total: int, k_max: int = 5) -> "KernelSchedule":
-        """Interpolate from k_max at the shallowest exit to zero just past mid-depth."""
-        if k_max < 3 or k_max % 2 == 0:
-            raise ValueError("k_max must be an odd integer >= 3")
+    def linear(cls, lph_positions, layers_total: int) -> "KernelSchedule":
+        """Interpolate from K_MAX at the shallowest exit to zero just past mid-depth."""
         positions = sorted(lph_positions)
         if not positions:
             return cls({})
@@ -160,7 +142,7 @@ class KernelSchedule:
         span = zero_at - first
         kernels = {}
         for p in positions:
-            raw = k_max if span <= 0 else k_max * (zero_at - p) / span
+            raw = K_MAX if span <= 0 else K_MAX * (zero_at - p) / span
             kernels[p] = _nearest_odd_or_zero(raw)
         return cls(kernels)
 
@@ -183,10 +165,8 @@ class WindowSchedule:
         return self.windows[position]
 
     @classmethod
-    def linear(cls, gah_positions, layers_total: int, g_max: int = 4) -> "WindowSchedule":
-        """Grow from 2 just past mid-depth to g_max at the last interior layer."""
-        if g_max < 2:
-            raise ValueError("g_max must be >= 2")
+    def linear(cls, gah_positions, layers_total: int) -> "WindowSchedule":
+        """Grow from 2 just past mid-depth to G_MAX at the last interior layer."""
         positions = sorted(gah_positions)
         if not positions:
             return cls({})
@@ -195,8 +175,8 @@ class WindowSchedule:
         span = max(end - start, 1.0)
         windows = {}
         for p in positions:
-            raw = 2.0 + (g_max - 2.0) * (p - start) / span
-            windows[p] = int(min(max(np.floor(raw), 2), g_max))
+            raw = 2.0 + (G_MAX - 2.0) * (p - start) / span
+            windows[p] = int(min(max(np.floor(raw), 2), G_MAX))
         return cls(windows)
 
 

@@ -419,9 +419,12 @@ def stage2_train(
     """Distillation training of the exit branches against the frozen backbone.
 
     The history starts with an epoch-0 record measuring the objective
-    before any update.  Raises UnfrozenBackboneError if any backbone or
-    final-classifier parameter changed bit for bit.  Warns once when the
-    placement is not LGViT's, so the distillation terms are off.
+    before any optimizer step.  That pass runs the branches in training
+    mode, so it does update the LPH BatchNorms' running statistics, even
+    with ``epochs_stage2 = 0``.  Raises UnfrozenBackboneError if any
+    backbone or final-classifier parameter changed bit for bit.  Warns
+    once when the placement is not LGViT's, so the distillation terms
+    are off.
 
     The backbone is frozen, so its outputs and the aligned teachers
     depend only on the image.  They are computed once, before the first
@@ -460,7 +463,8 @@ def stage2_train(
     for branch in branches:
         branch.train()
     history = []
-    for epoch in range(cfg.epochs_stage2 + 1):  # epoch 0 measures, without updates
+    # epoch 0 measures without an optimizer step, but moves the BatchNorm running statistics
+    for epoch in range(cfg.epochs_stage2 + 1):
         if epoch:
             opt.lr = cfg.stage2_lr(epoch)
         record = _epoch_pass(dataset, cfg, 2, epoch, step, opt if epoch else None, names)

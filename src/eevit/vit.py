@@ -11,6 +11,7 @@ encoder outputs at chosen depths in one such pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class ViTConfig:
         for field in ("image_side", "channels", "patch_side", "layers", "dim", "heads", "num_classes"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive")
+        if not math.isfinite(self.mlp_ratio) or int(self.dim * self.mlp_ratio) < 1:
+            raise ValueError(
+                f"mlp_ratio must be finite with int(dim * mlp_ratio) >= 1, got {self.mlp_ratio}"
+            )
 
     @property
     def tokens_per_side(self) -> int:

