@@ -762,17 +762,22 @@ def _shifted(x: Array, axis: int) -> Array:
     return np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=np.empty_like(x))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis`` (rows sum to one).
+def softmax_array(x: Array, axis: int = -1) -> Array:
+    """Numerically stable softmax of an array along ``axis`` (rows sum to one).
 
     ``exp(shifted) / sum(exp(shifted))`` bitwise, computed in place in the
-    fresh shifted array: the output is the only full-size allocation, and
-    the backward reads only the output.
+    fresh shifted array, which is the only full-size allocation.
     """
-    a = _lift(a)
-    s = _shifted(a.data, axis)
+    s = _shifted(x, axis)
     np.exp(s, out=s)
     s /= np.add.reduce(s, axis=axis, keepdims=True)
+    return s
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    """``softmax_array`` as a graph node; the backward reads only the output."""
+    a = _lift(a)
+    s = softmax_array(a.data, axis)
 
     def grad_fn(g):
         dot = np.add.reduce(g * s, axis=axis, keepdims=True)

@@ -173,12 +173,9 @@ class RunConfig:
         positions = ex.positions
         if positions is None:
             positions = place_exits(self.model.layers, ex.count).positions
-        overrides = None
-        if ex.kinds is not None:
-            if len(ex.kinds) != len(positions):
-                raise ConfigError(f"exits.kinds must align with the {len(positions)} exit positions")
-            overrides = dict(zip(positions, ex.kinds))
-        placement = ExitPlacement.with_default_kinds(self.model.layers, positions, overrides)
+        if ex.kinds is not None and len(ex.kinds) != len(positions):
+            raise ConfigError(f"exits.kinds must align with the {len(positions)} exit positions")
+        placement = ExitPlacement.with_default_kinds(self.model.layers, positions, ex.kinds)
         lph = placement.lph_positions()
         gah = placement.gah_positions()
         if ex.kernels is None:

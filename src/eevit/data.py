@@ -22,6 +22,10 @@ class LabelRangeError(ValueError):
     """A label is outside the configured class count or the one-byte label field."""
 
 
+class EmptyDatasetError(ValueError):
+    """A dataset, or a run over one, has zero samples."""
+
+
 @dataclass
 class DatasetSpec:
     source: str = "synthetic"  # "synthetic" or "raw"
@@ -47,6 +51,8 @@ class DatasetSpec:
             raise ValueError(f"mean entries must be finite, got {self.mean}")
         if not 0.0 <= self.noise < math.inf:
             raise ValueError(f"noise must be nonnegative and finite, got {self.noise}")
+        if self.per_class < 1:
+            raise ValueError(f"data.per_class must be at least 1, got {self.per_class}")
 
 
 @dataclass
@@ -73,6 +79,8 @@ def normalize_images(pixels01: np.ndarray, spec: DatasetSpec) -> np.ndarray:
 def load_raw_images(path: str, spec: DatasetSpec) -> LabeledDataset:
     """Read the fixed-stride label+pixels records and normalize them."""
     raw = np.fromfile(path, dtype=np.uint8)
+    if not raw.size:
+        raise EmptyDatasetError(f"{os.path.basename(path)}: the file holds no records")
     pixels_per_image = spec.channels * spec.image_side * spec.image_side
     stride = 1 + pixels_per_image
     if raw.size % stride != 0:

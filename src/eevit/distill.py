@@ -88,25 +88,25 @@ def heterogeneous_loss(exit_features: list[Tensor], teachers: dict[int, np.ndarr
     return total * 0.25
 
 
-def _teacher_student_split(features: list[Tensor]) -> tuple[list[Tensor], Tensor] | None:
+def _homogeneous_loss(features: list[Tensor], view, kind: str) -> Tensor:
+    """Mean of ``mse(view(student), view(teacher))`` over the students, the deepest exit teaching.
+
+    Fewer than two exits warn, pointing at the public loss's caller, and give 0.
+    """
     if len(features) < 2:
-        return None
-    return features[:-1], features[-1]
+        warnings.warn(f"fewer than two {kind} exits; homogeneous {kind} loss is 0", stacklevel=3)
+        return Tensor(0.0)
+    teacher = view(features[-1].detach()).detach()
+    total: Tensor | None = None
+    for f in features[:-1]:
+        term = mse(view(f), teacher)
+        total = term if total is None else total + term
+    return total * (1.0 / (len(features) - 1))
 
 
 def homogeneous_lph_loss(lph_features: list[Tensor]) -> Tensor:
     """Mean squared error of each shallow conv head against the deepest one."""
-    split = _teacher_student_split(lph_features)
-    if split is None:
-        warnings.warn("fewer than two conv exits; homogeneous conv loss is 0", stacklevel=2)
-        return Tensor(0.0)
-    students, teacher = split
-    teacher = teacher.detach()
-    total: Tensor | None = None
-    for f in students:
-        term = mse(f, teacher)
-        total = term if total is None else total + term
-    return total * (1.0 / len(students))
+    return _homogeneous_loss(lph_features, lambda t: t, "conv")
 
 
 def _gram(features: Tensor) -> Tensor:
@@ -121,17 +121,7 @@ def homogeneous_gah_loss(gah_features: list[Tensor]) -> Tensor:
     The D x D Gram form makes differently sized token maps comparable
     and is invariant to token-row permutations.
     """
-    split = _teacher_student_split(gah_features)
-    if split is None:
-        warnings.warn("fewer than two attention exits; homogeneous attention loss is 0", stacklevel=2)
-        return Tensor(0.0)
-    students, teacher = split
-    teacher_gram = _gram(teacher.detach()).detach()
-    total: Tensor | None = None
-    for f in students:
-        term = mse(_gram(f), teacher_gram)
-        total = term if total is None else total + term
-    return total * (1.0 / len(students))
+    return _homogeneous_loss(gah_features, _gram, "attention")
 
 
 def kd_loss(

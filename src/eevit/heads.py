@@ -73,16 +73,12 @@ class ExitPlacement:
 
     @classmethod
     def with_default_kinds(
-        cls,
-        layers_total: int,
-        positions,
-        kind_overrides: dict[int, str] | None = None,
+        cls, layers_total: int, positions, kinds: tuple[str, ...] | None = None
     ) -> "ExitPlacement":
+        """A placement whose ``kinds`` default to ``default_head_kind`` at every position."""
         positions = tuple(int(p) for p in positions)
-        overrides = kind_overrides or {}
-        kinds = tuple(
-            overrides.get(p, default_head_kind(p, layers_total)) for p in positions
-        )
+        if kinds is None:
+            kinds = tuple(default_head_kind(p, layers_total) for p in positions)
         return cls(layers_total, positions, kinds)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import slabs
-from .autograd import Tensor, no_grad
+from .autograd import Tensor, no_grad, softmax_array
 from .costs import (
     ExitHistogram,
     MacProfile,
@@ -37,15 +37,12 @@ from .costs import (
     path_macs,
     speedup,
 )
+from .data import EmptyDatasetError
 from .heads import ExitBranch, ExitPlacement
 from .layers import eval_mode
 from .vit import EncoderOutput, ViTModel
 
 CHUNK = 64  # images per cascade call on the dataset paths
-
-
-class EmptyDatasetError(ValueError):
-    """Evaluation was asked to run over zero samples."""
 
 
 class NonFiniteLogitsError(ValueError):
@@ -79,15 +76,9 @@ class ExitPolicy:
         return np.where(fired.any(axis=0), fired.argmax(axis=0), len(confidences))
 
 
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _confidence(logits: np.ndarray):
     """Top-class softmax probability of each row of finite logits."""
-    return _softmax_np(logits).max(axis=-1)
+    return softmax_array(logits).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -110,14 +101,9 @@ class EvaluationSummary:
 
 @dataclass(frozen=True)
 class _SampleTrace:
-    """Per-exit confidences and labels from one full cascade pass."""
+    """Per-exit confidences from one full cascade pass."""
 
     confidences: np.ndarray  # per configured exit, in order
-    labels: np.ndarray
-    logits: list[np.ndarray]
-    final_confidence: float
-    final_label: int
-    final_logits: np.ndarray
 
 
 def _finite(logits: np.ndarray, layer: int) -> np.ndarray:
@@ -181,10 +167,11 @@ def _walk(
 
 
 def _cascade_chunks(
-    model: ViTModel, branches: list[ExitBranch], images: np.ndarray, tau: float
+    model: ViTModel, branches: list[ExitBranch], images: np.ndarray, tau: float, chunk: int = CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
-    chunks = range(0, len(images), CHUNK)
-    return _join_walks([cascade(model, branches, images[s : s + CHUNK], tau) for s in chunks])
+    """``cascade`` over ``images`` in ``chunk``-image calls, joined in order."""
+    starts = range(0, len(images), chunk)
+    return _join_walks([cascade(model, branches, images[s : s + chunk], tau) for s in starts])
 
 
 def infer_early_exit(
@@ -253,19 +240,9 @@ def trace_sample(
     image: np.ndarray,
     placement: ExitPlacement,
 ) -> _SampleTrace:
-    """Run the full cascade once, caching every exit's confidence and label."""
+    """Run the full cascade once, caching every exit's confidence."""
     logits, _ = cascade(model, branches, np.asarray(image)[None], math.inf)
-    rows = logits[:, 0]
-    confidences = _confidence(rows)
-    labels = rows.argmax(axis=-1)
-    return _SampleTrace(
-        confidences=confidences[:-1],
-        labels=labels[:-1],
-        logits=list(rows[:-1]),
-        final_confidence=float(confidences[-1]),
-        final_label=int(labels[-1]),
-        final_logits=rows[-1],
-    )
+    return _SampleTrace(confidences=_confidence(logits[:-1, 0]))
 
 
 def threshold_sweep(

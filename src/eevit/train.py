@@ -37,7 +37,7 @@ from .distill import (
 )
 from .costs import pooled_tokens_exact
 from .heads import ExitBranch, ExitPlacement
-from .inference import cascade
+from .inference import _cascade_chunks
 from .layers import Module
 from .losses import cross_entropy
 from .metrics import MetricsWriter
@@ -95,23 +95,6 @@ class FrozenOutputs:
             self.final_logits[idx],
             {m: t[idx] for m, t in self.teachers.items()},
         )
-
-
-def frozen_outputs(
-    model: ViTModel,
-    images: np.ndarray,
-    positions: tuple[int, ...],
-    align_modules: dict[int, AlignModule],
-) -> FrozenOutputs:
-    """Taps at ``positions``, final logits and ``aligned_teachers``, without a graph."""
-    with no_grad():
-        taps, final_state = collect_taps(model, Tensor(images), positions)
-        final_logits = model.final_classifier(final_state)
-    return FrozenOutputs(
-        {p: state.tokens.data for p, state in taps.items()},
-        final_logits.data,
-        aligned_teachers(align_modules, final_state.patches()),
-    )
 
 
 @dataclass
@@ -379,11 +362,22 @@ def _frozen_table(
     positions: tuple[int, ...],
     align_modules: dict[int, AlignModule],
 ) -> FrozenOutputs:
-    """``frozen_outputs`` for every image, one ``batch_size`` chunk at a time, in order."""
-    chunks = [
-        frozen_outputs(model, images[start : start + batch_size], positions, align_modules)
-        for start in range(0, len(images), batch_size)
-    ]
+    """Taps at ``positions``, final logits and ``aligned_teachers`` for every image.
+
+    The frozen backbone runs without a graph, one ``batch_size`` chunk
+    at a time, and the chunks are concatenated in order.
+    """
+    chunks = []
+    with no_grad():
+        for start in range(0, len(images), batch_size):
+            taps, final_state = collect_taps(
+                model, Tensor(images[start : start + batch_size]), positions
+            )
+            chunks.append(FrozenOutputs(
+                {p: taps[p].tokens.data for p in positions},
+                model.final_classifier(final_state).data,
+                aligned_teachers(align_modules, final_state.patches()),
+            ))
     return FrozenOutputs(
         {p: np.concatenate([c.taps[p] for c in chunks]) for p in positions},
         np.concatenate([c.final_logits for c in chunks]),
@@ -399,11 +393,8 @@ def exit_accuracies(
     batch_size: int = 64,
 ) -> list[float]:
     """Eval-mode accuracy of every internal classifier over a dataset."""
-    hits = np.zeros(len(branches), dtype=np.int64)
-    for start in range(0, len(dataset), batch_size):
-        sl = slice(start, start + batch_size)
-        logits, _ = cascade(model, branches, dataset.images[sl], math.inf)
-        hits += (logits[:-1].argmax(axis=-1) == dataset.labels[sl]).sum(axis=1)
+    logits, _ = _cascade_chunks(model, branches, dataset.images, math.inf, batch_size)
+    hits = (logits[:-1].argmax(axis=-1) == dataset.labels).sum(axis=1)
     return [h / len(dataset) for h in hits]
 
 

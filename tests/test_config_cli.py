@@ -113,10 +113,11 @@ class TestValidation:
             "model.mlp_ratio=nan",
             "model.mlp_ratio=-1",
             "model.mlp_ratio=inf",
+            "data.per_class=0",
         ],
     )
     def test_nan_or_out_of_range_number_fails_before_training(self, item, tmp_path, capsys):
-        entries = [item, f"run.output_dir={tmp_path}", "data.per_class=1"]
+        entries = [f"run.output_dir={tmp_path}", "data.per_class=1", item]
         assert main(["train", *(arg for entry in entries for arg in ("--set", entry))]) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and item.split("=")[0].split(".")[1] in err
@@ -216,6 +217,15 @@ class TestCli:
 
     def test_unknown_key_validation_exit_code(self, tmp_path):
         assert main(["macs", "--set", "model.banana=1"]) == 1
+
+    @pytest.mark.parametrize("stage", ["all", "2"])
+    def test_empty_raw_file_is_validation_error(self, tmp_path, capsys, stage):
+        raw = tmp_path / "empty.bin"
+        raw.write_bytes(b"")
+        args = ["--stage", stage, "--set", "data.source=raw", "--set", f"data.path={raw}"]
+        assert main(["train", "--config", self._conf(tmp_path), *args]) == 1
+        assert "empty.bin" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("metrics_*"))
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path):
         conf = self._conf(tmp_path)

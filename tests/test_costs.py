@@ -145,7 +145,7 @@ class TestModelMacs:
 
     def test_mlp_head_cost(self):
         cfg = ViTConfig()
-        placement = ExitPlacement.with_default_kinds(8, (3,), {3: "mlp"})
+        placement = ExitPlacement.with_default_kinds(8, (3,), ("mlp",))
         profile = model_macs(cfg, placement, None, None)
         assert profile.head_by_position[3] == mac_pooled_linear(64) == 64 * 64
 

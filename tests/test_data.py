@@ -5,6 +5,7 @@ import pytest
 
 from eevit.data import (
     DatasetSpec,
+    EmptyDatasetError,
     LabelRangeError,
     TruncatedRecordError,
     build_dataset,
@@ -61,6 +62,12 @@ class TestRawFormat:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * (3073 + 17))
         with pytest.raises(TruncatedRecordError):
+            load_raw_images(str(path), _spec(path=str(path)))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(EmptyDatasetError, match="empty.bin"):
             load_raw_images(str(path), _spec(path=str(path)))
 
     def test_label_out_of_range_rejected(self, tmp_path, rng):

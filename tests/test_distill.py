@@ -133,9 +133,10 @@ class TestHomogeneousLph:
         assert b.grad is None
 
     def test_fewer_than_two_warns_and_returns_zero(self, rng):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as seen:
             loss = homogeneous_lph_loss([Tensor(rng.standard_normal((2, 4, 4)))])
         assert loss.item() == 0.0
+        assert seen[0].filename == __file__
 
 
 class TestHomogeneousGah:

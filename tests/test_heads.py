@@ -276,8 +276,12 @@ class TestPlacement:
         assert max(lph) * 2 <= 8 < min(gah) * 2
 
     def test_kind_override(self):
-        placement = ExitPlacement.with_default_kinds(8, (2, 6), {2: "mlp", 6: "lph"})
+        placement = ExitPlacement.with_default_kinds(8, (2, 6), ("mlp", "lph"))
         assert placement.kinds == ("mlp", "lph")
+
+    def test_kinds_for_fewer_positions_rejected(self):
+        with pytest.raises(PlacementError):
+            ExitPlacement.with_default_kinds(8, (2, 6), ("lph",))
 
 
 class TestSchedules:

@@ -163,6 +163,11 @@ class TestStage2:
         accs = exit_accuracies(system.model, system.branches, dataset, system.placement)
         assert all(a > 1.0 / run.model.num_classes for a in accs)
 
+    def test_exit_accuracies_do_not_depend_on_the_chunk(self):
+        run, system, dataset = small_run(per_class=18)  # 72 images: 5 leaves a chunk of 2
+        args = (system.model, system.branches, dataset, system.placement)
+        assert exit_accuracies(*args, batch_size=5) == exit_accuracies(*args)
+
     def test_align_modules_not_trainable(self):
         run, system, dataset = small_run()
         aligns = build_align_modules(system.model, system.branches)
@@ -195,8 +200,8 @@ class TestStage2:
             system.model, dataset.images, cfg.batch_size, placement.positions, aligns
         )
         idx = rng.permutation(len(dataset))[: cfg.batch_size]
-        recomputed = train_mod.frozen_outputs(
-            system.model, dataset.images[idx], placement.positions, aligns
+        recomputed = train_mod._frozen_table(
+            system.model, dataset.images[idx], len(idx), placement.positions, aligns
         )
         rows = table.rows(idx)
         assert rows.teachers.keys() == recomputed.teachers.keys() == aligns.keys()
@@ -253,8 +258,8 @@ def test_stage2_batch_tape_size_on_desk_placement():
     system = build_system(run)
     dataset = build_dataset(run.data)
     aligns = build_align_modules(system.model, system.branches)
-    frozen = train_mod.frozen_outputs(
-        system.model, dataset.images[:8], system.placement.positions, aligns
+    frozen = train_mod._frozen_table(
+        system.model, dataset.images[:8], 8, system.placement.positions, aligns
     )
     for branch in system.branches:
         branch.train()
@@ -318,8 +323,8 @@ def test_zero_distillation_weights_keep_the_doubled_prediction_terms():
         branch.eval()
     labels = dataset.labels[:8]
     aligns = build_align_modules(system.model, system.branches)
-    frozen = train_mod.frozen_outputs(
-        system.model, dataset.images[:8], system.placement.positions, aligns
+    frozen = train_mod._frozen_table(
+        system.model, dataset.images[:8], 8, system.placement.positions, aligns
     )
     objective, scalars, _ = train_mod.stage2_batch_losses(system.branches, frozen, labels, run.train)
     ce = []
@@ -528,12 +533,12 @@ class TestFullStateRoundTrip:
 
 def test_stage2_objective_gradient_matches_finite_differences(rng):
     run, system, dataset = small_run(per_class=4)
-    from eevit.train import frozen_outputs, stage2_batch_losses
+    from eevit.train import _frozen_table, stage2_batch_losses
 
     aligns = build_align_modules(system.model, system.branches)
     for branch in system.branches:
         branch.eval()  # eval-mode norms make the objective deterministic
-    frozen = frozen_outputs(system.model, dataset.images[:4], system.placement.positions, aligns)
+    frozen = _frozen_table(system.model, dataset.images[:4], 4, system.placement.positions, aligns)
     labels = dataset.labels[:4]
 
     def build():
