@@ -434,7 +434,12 @@ def gelu(a) -> Tensor:
     out = np.empty(shape)  # C order, so reshape(-1) is a view, never a copy
     n = out.size
     if n <= _TILE:
-        # One tile: the arrays themselves, whatever their layout.
+        # One tile: the arrays themselves, whatever their layout. This skips
+        # the loop's flattening and slicing, a fixed cost that shows at batch
+        # 1: over 30 alternating rounds of 2000 no-grad calls (2 CPUs, numpy
+        # 2.4.6), the loop took 11.7 us against 10.0 here at [1, 16, 64] and
+        # won 0-2 rounds of 30 in three runs; at [1, 17, 256] it took 22.7-26.6
+        # us against 22.9-25.5 and won 20, 5 and 2 rounds.
         x, t = a.data, np.empty(shape)
         _gelu_tile(x, t, out, np.empty(shape))
     else:

@@ -46,23 +46,18 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--data", default=None, help="raw dataset path overriding the config")
 
     p = sub.add_parser("sweep", help="evaluate a list of thresholds with cached confidences")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--taus", required=True, help="comma-separated threshold list")
-    p.add_argument("--csv", default=None, help="CSV output path (default: output_dir/sweep.csv)")
-    p.add_argument("--data", default=None)
 
     p = sub.add_parser("macs", help="print the analytic cost report")
     common(p)
-    p.add_argument("--report", default=None, help="write the report as key=value lines")
 
     p = sub.add_parser("analyze", help="CKA self-heatmap and attention-map export")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--out", default=None, help="output directory (default: run output_dir)")
     p.add_argument("--probe", type=int, default=128, help="number of probe samples")
     p.add_argument("--attn-layer", type=int, default=None, help="layer for the attention grid")
     p.add_argument("--attn-sample", type=int, default=0)
@@ -74,28 +69,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_run(args):
-    """The run config of the file, the ``--set`` overrides, then ``--tau`` and ``--data``."""
+    """The run config of the file, the ``--set`` overrides, then ``--tau``."""
     entries = parse_config_file(args.config) if args.config else {}
     overrides = list(args.overrides)
     if getattr(args, "tau", None) is not None:
         overrides.append(f"policy.tau={args.tau!r}")
-    if getattr(args, "data", None):
-        overrides += ["data.source=raw", f"data.path={args.data}"]
     return build_run_config(apply_overrides(entries, overrides))
 
 
-def _load_restored(args, check=None):
-    """The run, its system with ``--checkpoint`` loaded, and its dataset.
-
-    ``check()`` runs once the config is read, before the system is built,
-    so that its errors come after the config's and before the checkpoint's.
-    """
-    run = _load_run(args)
-    if check is not None:
-        check()
+def _restore(run, checkpoint: str):
+    """The run's system with ``checkpoint`` loaded, and its dataset."""
     system = build_system(run)
-    load_full_state(load_checkpoint(args.checkpoint), system.model, system.branches)
-    return run, system, build_dataset(run.data)
+    load_full_state(load_checkpoint(checkpoint), system.model, system.branches)
+    return system, build_dataset(run.data)
 
 
 def _cmd_train(args) -> int:
@@ -151,7 +137,8 @@ def _report(run, phase: str, summaries) -> list[dict[str, float]]:
 
 
 def _cmd_eval(args) -> int:
-    run, system, dataset = _load_restored(args)
+    run = _load_run(args)
+    system, dataset = _restore(run, args.checkpoint)
     summary = evaluate_dataset(
         system.model, system.branches, dataset.images, dataset.labels,
         run.policy, system.profile, system.placement,
@@ -161,20 +148,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    taus: list[float] = []
-
-    def read_taus():
-        taus.extend(float(part) for part in args.taus.split(",") if part.strip())
-        for tau in taus:
-            ExitPolicy(tau)  # validate before the system is built
-
-    run, system, dataset = _load_restored(args, read_taus)
+    run = _load_run(args)
+    taus = [ExitPolicy(float(part)).tau for part in args.taus.split(",") if part.strip()]
+    if not taus:
+        raise ConfigError(f"--taus names no threshold: {args.taus!r}")
+    system, dataset = _restore(run, args.checkpoint)
     summaries = threshold_sweep(
         system.model, system.branches, dataset.images, dataset.labels,
         taus, system.profile, system.placement,
     )
     records = _report(run, "sweep", summaries)
-    csv_path = args.csv or os.path.join(run.output_dir, "sweep.csv")
+    csv_path = os.path.join(run.output_dir, "sweep.csv")
     write_csv(csv_path, list(records[0]), [list(record.values()) for record in records])
     print(f"wrote {csv_path}")
     return 0
@@ -190,31 +174,28 @@ def _cmd_macs(args) -> int:
     ]
     for layer in sorted({*placement.positions, profile.layers_total}):
         records.append((f"path_macs_layer_{layer}", path_macs(profile, placement, layer)))
-    report = "".join(f"{key} = {value}\n" for key, value in records)
-    print(report, end="")
+    for key, value in records:
+        print(f"{key} = {value}")
     print(f"total_gmacs = {profile.backbone_total() / 1e9:.4f}")
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    run, system, dataset = _load_restored(args)
+    run = _load_run(args)
     if args.probe < 2:
         raise ConfigError(f"--probe must be at least 2, got {args.probe}")
+    system, dataset = _restore(run, args.checkpoint)
     if not 0 <= args.attn_sample < len(dataset):
         raise ConfigError(f"--attn-sample {args.attn_sample} out of range 0..{len(dataset) - 1}")
-    out_dir = args.out or run.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run.output_dir, exist_ok=True)
     layer = run.model.layers if args.attn_layer is None else args.attn_layer
     # Exported first, so that its layer check fails before any CSV is written.
     grid, cls_self = attention_map_export(system.model, dataset.images[args.attn_sample], layer)
     taps = layer_feature_taps(system.model, dataset.images[: args.probe])
     heatmap = cka_heatmap(taps, taps)
-    write_grid_csv(os.path.join(out_dir, "cka_self.csv"), heatmap)
+    write_grid_csv(os.path.join(run.output_dir, "cka_self.csv"), heatmap)
     print(f"cka diagonal: {np.diagonal(heatmap).round(6).tolist()}")
-    write_grid_csv(os.path.join(out_dir, f"attention_layer{layer}.csv"), grid)
+    write_grid_csv(os.path.join(run.output_dir, f"attention_layer{layer}.csv"), grid)
     print(f"attention grid written for layer {layer}; cls self-weight {cls_self:.6f}")
     return 0
 

@@ -169,11 +169,7 @@ def speedup(hist: ExitHistogram) -> float:
     return (layers_total * total) / executed
 
 
-def path_macs(
-    profile: MacProfile,
-    placement: ExitPlacement | None,
-    exit_layer: int,
-) -> int:
+def path_macs(profile: MacProfile, placement: ExitPlacement, exit_layer: int) -> int:
     """Cost of one sample that leaves at ``exit_layer``.
 
     The path runs the patch embedding, blocks 1..exit_layer, and every
@@ -181,23 +177,17 @@ def path_macs(
     exit taken; a sample reaching the final layer also pays the final
     classifier.
     """
-    layers_total = profile.layers_total
     total = profile.patch_embed + sum(profile.per_block[:exit_layer])
-    if placement is not None:
-        for position in placement.positions:
-            if position <= exit_layer:
-                total += profile.head_by_position[position]
-                total += profile.classifier_by_position[position]
-    if exit_layer == layers_total:
+    for position in placement.positions:
+        if position <= exit_layer:
+            total += profile.head_by_position[position]
+            total += profile.classifier_by_position[position]
+    if exit_layer == profile.layers_total:
         total += profile.final_classifier
     return total
 
 
-def expected_macs(
-    profile: MacProfile,
-    hist: ExitHistogram,
-    placement: ExitPlacement | None,
-) -> float:
+def expected_macs(profile: MacProfile, hist: ExitHistogram, placement: ExitPlacement) -> float:
     """Sample-weighted mean path cost over an exit histogram."""
     total = hist.total()
     if total == 0:
@@ -207,8 +197,7 @@ def expected_macs(
         raise InconsistentHistogramError(
             f"histogram covers {hist.layers_total} layers, profile has {layers_total}"
         )
-    allowed = set(placement.positions) if placement is not None else set()
-    allowed.add(layers_total)
+    allowed = {*placement.positions, layers_total}
     acc = 0
     for layer, count in enumerate(hist.counts, start=1):
         if count == 0:

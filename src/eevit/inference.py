@@ -170,6 +170,8 @@ def _cascade_chunks(
     model: ViTModel, branches: list[ExitBranch], images: np.ndarray, tau: float, chunk: int = CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """``cascade`` over ``images`` in ``chunk``-image calls, joined in order."""
+    if len(images) == 0:
+        raise EmptyDatasetError("the cascade needs at least one sample")
     starts = range(0, len(images), chunk)
     return _join_walks([cascade(model, branches, images[s : s + chunk], tau) for s in starts])
 
@@ -228,8 +230,6 @@ def evaluate_dataset(
     placement: ExitPlacement,
 ) -> EvaluationSummary:
     """Early-exit inference aggregated over a labeled dataset."""
-    if len(images) == 0:
-        raise EmptyDatasetError("evaluation needs at least one sample")
     logits, decided = _cascade_chunks(model, branches, images, policy.tau)
     return _summary(decided, logits.argmax(axis=-1), labels, policy.tau, profile, placement)
 
@@ -257,8 +257,6 @@ def threshold_sweep(
     """One full cascade pass over the dataset; the policy replays over cached confidences."""
     if not taus:
         raise ValueError("tau list must not be empty")
-    if len(images) == 0:
-        raise EmptyDatasetError("sweep needs at least one sample")
     policies = [ExitPolicy(tau) for tau in taus]
     logits, _ = _cascade_chunks(model, branches, images, math.inf)
     confidences = _confidence(logits[:-1])

@@ -60,12 +60,6 @@ class Module:
         object.__setattr__(self, name, arr)
         return arr
 
-    def add_child(self, name: str, module: "Module") -> "Module":
-        global _mode_changes
-        self._children[name] = module
-        _mode_changes += 1
-        return module
-
     def named_parameters(self, prefix: str = ""):
         for name, p in self._params.items():
             full = f"{prefix}{name}"

@@ -111,9 +111,7 @@ class TrainConfig:
     seed: int = 0
 
     def stage2_lr(self, epoch: int) -> float:
-        """Cosine-decayed learning rate for a 1-based stage-2 epoch; flat for one epoch."""
-        if self.epochs_stage2 <= 1:
-            return self.lr_stage2
+        """Cosine-decayed learning rate for a 1-based stage-2 epoch (``lr_stage2`` at epoch 1)."""
         progress = (epoch - 1) / self.epochs_stage2
         return self.lr_stage2 * 0.5 * (1.0 + math.cos(math.pi * progress))
 

@@ -165,7 +165,7 @@ class ViTModel(Module):
         self.blocks: list[EncoderBlock] = []
         for i in range(config.layers):
             block = EncoderBlock(config.dim, config.heads, config.mlp_ratio, rng)
-            self.add_child(f"block{i + 1}", block)
+            setattr(self, f"block{i + 1}", block)
             self.blocks.append(block)
         self.classifier = Linear(config.dim, config.num_classes, rng)
 

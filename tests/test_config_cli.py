@@ -231,6 +231,21 @@ class TestCli:
         conf = self._conf(tmp_path)
         assert main(["eval", "--config", conf, "--checkpoint", "/no/such.ckpt", "--tau", "0.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--taus", ","], "--taus names no threshold: ','"),
+            (["analyze", "--probe", "1"], "--probe must be at least 2, got 1"),
+        ],
+        ids=["sweep-taus-empty", "analyze-probe-1"],
+    )
+    def test_bad_argument_fails_before_the_checkpoint_is_read(self, tmp_path, capsys, args, message):
+        conf = self._conf(tmp_path)
+        command, *rest = args
+        assert main([command, "--config", conf, "--checkpoint", "/no/such.ckpt", *rest]) == 1
+        err = capsys.readouterr().err
+        assert f"validation error: {message}" in err and "FileNotFoundError" not in err
+
     def test_checkpoint_without_branches_is_runtime_error(self, tmp_path, capsys):
         conf = self._conf(tmp_path)
         system = build_system(build_run_config(parse_config_text(TINY_CONF)))
@@ -291,7 +306,9 @@ class TestCli:
         ckpt = str(tmp_path / "init.ckpt")
         save_checkpoint(ckpt, full_state(system.model, system.branches))
         out = str(tmp_path / "analysis")
-        return main(["analyze", "--config", conf, "--checkpoint", ckpt, "--out", out, *args])
+        return main([
+            "analyze", "--config", conf, "--checkpoint", ckpt, "--set", f"run.output_dir={out}", *args
+        ])
 
     def test_analyze_attention_layer_zero_is_validation_error(self, tmp_path, capsys):
         assert self._analyze(tmp_path, "--probe", "4", "--attn-layer", "0") == 1
@@ -321,6 +338,12 @@ class TestCli:
         raw = str(tmp_path / "synth.bin")
         assert main(["gen-data", "--config", conf, "--out", raw]) == 0
         assert os.path.getsize(raw) == 8 * 4 * (1 + 3 * 16 * 16)
+        system = build_system(build_run_config(parse_config_text(TINY_CONF)))
+        ckpt = str(tmp_path / "init.ckpt")
+        save_checkpoint(ckpt, full_state(system.model, system.branches))
+        raw_data = ["--set", "data.source=raw", "--set", f"data.path={raw}"]
+        assert main(["eval", "--config", conf, "--checkpoint", ckpt, "--tau", "0.9", *raw_data]) == 0
+        assert (tmp_path / "out" / "eval.txt").exists()
 
     def test_staged_training_resumes_from_checkpoint(self, tmp_path):
         conf = self._conf(tmp_path)
@@ -344,7 +367,7 @@ class TestCli:
         assert len(csv_text.strip().split("\n")) == 4
         assert main([
             "analyze", "--config", conf, "--checkpoint", ckpt,
-            "--out", str(tmp_path / "analysis"), "--probe", "16",
+            "--set", f"run.output_dir={tmp_path / 'analysis'}", "--probe", "16",
         ]) == 0
         assert (tmp_path / "analysis" / "cka_self.csv").exists()
         assert (tmp_path / "analysis" / "attention_layer6.csv").exists()

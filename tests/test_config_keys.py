@@ -1,14 +1,15 @@
 """The accepted config keys: the fields of the dataclasses the config fills,
 read by ``build_run_config``, listed in the README's key table and shown
-in ``configs/desk.conf``."""
+in ``configs/desk.conf``.  Likewise, the CLI's flags are the README's."""
 
+import argparse
 import os
 import re
 from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from eevit import config
+from eevit import cli, config
 from eevit.cli import main
 from eevit.config import ExitSettings, RunConfig, build_run_config, parse_config_file
 from eevit.data import DatasetSpec
@@ -59,6 +60,32 @@ def test_reader_reads_exactly_the_derived_keys(monkeypatch):
 
 def test_readme_table_lists_the_accepted_keys():
     assert readme_keys() == derived_keys()
+
+
+COMMON_FLAGS = {"--config", "--set"}
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """Per subcommand of ``cli._parser()``, its long flags but ``--help``."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def readme_flags() -> tuple[str, dict[str, set[str]]]:
+    """The README's "Command line" section, and its table: subcommand -> flags named in its row."""
+    with open(README) as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section, flags=re.M)
+    return section, {name: set(re.findall(r"`(--[\w-]+)", cell)) for name, cell in rows}
+
+
+def test_readme_names_every_cli_flag():
+    section, table = readme_flags()
+    assert all(f"`{flag}" in section for flag in COMMON_FLAGS)
+    assert table == {name: flags - COMMON_FLAGS for name, flags in parser_flags().items()}
 
 
 def test_desk_conf_is_the_defaults_but_its_output_dir():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from eevit.autograd import Tensor, no_grad
 from eevit.config import build_run_config, build_system
 from eevit.costs import ExitHistogram, expected_macs, speedup
-from eevit.data import build_dataset
+from eevit.data import LabeledDataset, build_dataset
 from eevit.layers import Module
 from eevit.inference import (
     EmptyDatasetError,
@@ -21,7 +21,7 @@ from eevit.inference import (
     infer_early_exit,
     threshold_sweep,
 )
-from eevit.train import stage1_train, stage2_train
+from eevit.train import exit_accuracies, stage1_train, stage2_train
 
 
 @pytest.fixture(scope="module")
@@ -232,10 +232,20 @@ class TestDatasetEvaluation:
 
     def test_empty_dataset_rejected(self, trained):
         run, system, dataset = trained
+        images, labels = dataset.images[:0], dataset.labels[:0]
         with pytest.raises(EmptyDatasetError):
             evaluate_dataset(
-                system.model, system.branches, dataset.images[:0], dataset.labels[:0],
+                system.model, system.branches, images, labels,
                 ExitPolicy(0.5), system.profile, system.placement,
+            )
+        with pytest.raises(EmptyDatasetError):
+            threshold_sweep(
+                system.model, system.branches, images, labels,
+                [0.5], system.profile, system.placement,
+            )
+        with pytest.raises(EmptyDatasetError):
+            exit_accuracies(
+                system.model, system.branches, LabeledDataset(images, labels), system.placement
             )
 
 
