@@ -417,6 +417,53 @@ def _gelu_grad_tile(x: Array, t: Array, g: Array, grad: Array, sech2: Array, d_i
     grad *= g
 
 
+def _gelu_forward(x: Array, keep: bool) -> tuple[Array, Array, Array]:
+    """GELU of ``x`` in tiles of ``_TILE`` elements: the output, and the ``x`` and ``t`` it read.
+
+    The output is a fresh C-order array shaped as ``x``.  ``t`` is kept in
+    full only when ``keep``; ``_gelu_backward`` reads the returned ``x``
+    and ``t``, which are flat when there is more than one tile.
+    """
+    shape = x.shape
+    out = np.empty(shape)  # C order, so reshape(-1) is a view, never a copy
+    n = out.size
+    if n <= _TILE:
+        # One tile: the arrays themselves, whatever their layout. This skips
+        # the loop's flattening and slicing, a fixed cost that shows at batch
+        # 1: over 30 alternating rounds of 2000 no-grad calls (2 CPUs, numpy
+        # 2.4.6), the loop took 11.7 us against 10.0 here at [1, 16, 64] and
+        # won 0-2 rounds of 30 in three runs; at [1, 17, 256] it took 22.7-26.6
+        # us against 22.9-25.5 and won 20, 5 and 2 rounds.
+        t = np.empty(shape)
+        _gelu_tile(x, t, out, np.empty(shape))
+        return out, x, t
+    # Flat C-order tiles; a non-contiguous x is copied into C order.
+    x = np.ascontiguousarray(x).reshape(-1)
+    t = np.empty(n if keep else _TILE)
+    of, one = out.reshape(-1), np.empty(_TILE)
+    for lo in range(0, n, _TILE):
+        hi = lo + _TILE
+        m = min(hi, n) - lo
+        _gelu_tile(x[lo:hi], t[lo:hi] if keep else t[:m], of[lo:hi], one[:m])
+    return out, x, t
+
+
+def _gelu_backward(x: Array, t: Array, g: Array) -> Array:
+    """GELU's input gradient under cotangent ``g``, from the ``x`` and ``t`` of ``_gelu_forward``."""
+    grad = np.empty(g.shape)
+    n = grad.size
+    if n <= _TILE:
+        _gelu_grad_tile(x, t, g, grad, np.empty(g.shape), np.empty(g.shape))
+        return grad
+    gf, gradf = np.ascontiguousarray(g).reshape(-1), grad.reshape(-1)
+    sech2, d_inner = np.empty(_TILE), np.empty(_TILE)
+    for lo in range(0, n, _TILE):
+        hi = lo + _TILE
+        m = min(hi, n) - lo
+        _gelu_grad_tile(x[lo:hi], t[lo:hi], gf[lo:hi], gradf[lo:hi], sech2[:m], d_inner[:m])
+    return grad
+
+
 def gelu(a) -> Tensor:
     """Gaussian error linear unit (tanh form), in tiles of ``_TILE`` elements.
 
@@ -430,41 +477,10 @@ def gelu(a) -> Tensor:
     tile of scratch, which stays in cache across the passes.
     """
     a = _lift(a)
-    shape = a.data.shape
-    out = np.empty(shape)  # C order, so reshape(-1) is a view, never a copy
-    n = out.size
-    if n <= _TILE:
-        # One tile: the arrays themselves, whatever their layout. This skips
-        # the loop's flattening and slicing, a fixed cost that shows at batch
-        # 1: over 30 alternating rounds of 2000 no-grad calls (2 CPUs, numpy
-        # 2.4.6), the loop took 11.7 us against 10.0 here at [1, 16, 64] and
-        # won 0-2 rounds of 30 in three runs; at [1, 17, 256] it took 22.7-26.6
-        # us against 22.9-25.5 and won 20, 5 and 2 rounds.
-        x, t = a.data, np.empty(shape)
-        _gelu_tile(x, t, out, np.empty(shape))
-    else:
-        # Flat C-order tiles; a non-contiguous x is copied into C order.
-        graph = _records_graph((a,))
-        x = np.ascontiguousarray(a.data).reshape(-1)
-        t = np.empty(n if graph else _TILE)
-        of, one = out.reshape(-1), np.empty(_TILE)
-        for lo in range(0, n, _TILE):
-            hi = lo + _TILE
-            m = min(hi, n) - lo
-            _gelu_tile(x[lo:hi], t[lo:hi] if graph else t[:m], of[lo:hi], one[:m])
+    out, x, t = _gelu_forward(a.data, _records_graph((a,)))
 
     def grad_fn(g):
-        grad = np.empty(shape)
-        if n <= _TILE:
-            _gelu_grad_tile(x, t, g, grad, np.empty(shape), np.empty(shape))
-            return (grad,)
-        gf, gradf = np.ascontiguousarray(g).reshape(-1), grad.reshape(-1)
-        sech2, d_inner = np.empty(_TILE), np.empty(_TILE)
-        for lo in range(0, n, _TILE):
-            hi = lo + _TILE
-            m = min(hi, n) - lo
-            _gelu_grad_tile(x[lo:hi], t[lo:hi], gf[lo:hi], gradf[lo:hi], sech2[:m], d_inner[:m])
-        return (grad,)
+        return (_gelu_backward(x, t, g),)
 
     return _result(out, (a,), grad_fn)
 
@@ -598,6 +614,13 @@ def matmul(a, b) -> Tensor:
     return _result(ad @ bd, (a, b), grad_fn)
 
 
+def _affine(rows: Array, w: Array, bias: Array) -> Array:
+    """``rows @ w + bias``, adding into the fresh product: the same additions as ``+``."""
+    out = rows @ w
+    out += bias
+    return out
+
+
 def linear(x, w, b) -> Tensor:
     """Affine map ``x @ w + b`` on the last axis: one 2-D gemm and one graph node.
 
@@ -610,8 +633,7 @@ def linear(x, w, b) -> Tensor:
     if wd.ndim != 2 or bd.shape != wd.shape[1:]:
         raise ShapeMismatchError(f"linear weight {wd.shape} is not [D, E] or bias {bd.shape} not [E]")
     x2 = xd.reshape(-1, xd.shape[-1])
-    out = x2 @ wd
-    out += bd  # into the fresh product: the same additions as out + bd
+    out = _affine(x2, wd, bd)
 
     def grad_fn(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -779,14 +801,18 @@ def softmax_array(x: Array, axis: int = -1) -> Array:
     return s
 
 
+def _softmax_backward(s: Array, g: Array, axis: int) -> Array:
+    """Softmax's input gradient under cotangent ``g``, from its output ``s``."""
+    return s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """``softmax_array`` as a graph node; the backward reads only the output."""
     a = _lift(a)
     s = softmax_array(a.data, axis)
 
     def grad_fn(g):
-        dot = np.add.reduce(g * s, axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        return (_softmax_backward(s, g, axis),)
 
     return _result(s, (a,), grad_fn)
 
@@ -801,6 +827,143 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         return (g - np.exp(out) * np.add.reduce(g, axis=axis, keepdims=True),)
 
     return _result(out, (a,), grad_fn)
+
+
+# -- encoder sublayers ---------------------------------------------------------
+#
+# Attention and the MLP are one graph node each.  Their forwards run the numpy
+# calls of the ops they replace (``linear``, ``reshape``, ``transpose``,
+# ``matmul``, ``mul``, ``softmax``, ``gelu``) on the same array layouts and in
+# the same order, and their backwards replay the tape of those ops, so outputs
+# and gradients are bitwise the composed ops'.  A gemm's rounding depends on
+# its operands' strides, so the views below have the composed ops' strides.
+
+
+def _heads(rows: Array, b: int, t: int, heads: int) -> Array:
+    """Projected rows [B * T, D] as a [B, heads, T, D / heads] view."""
+    return rows.reshape(b, t, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: Array, b: int, t: int) -> Array:
+    """Per-head [B, heads, T, d] as rows [B * T, heads * d], heads side by side."""
+    return a.transpose(0, 2, 1, 3).reshape(b * t, -1)
+
+
+def attention_probs(x: Array, wq: Array, bq: Array, wk: Array, bk: Array, heads: int):
+    """Queries, keys and ``softmax(q @ kᵀ / sqrt(D / heads))`` of ``x`` [B, T, D].
+
+    ``q`` and ``k`` are [B, heads, T, D / heads] views; the probabilities are
+    [B, heads, T, T] and each query row sums to one.  ``attention`` and the
+    attention maps that ``analysis`` exports both come from here.
+    """
+    b, t, d = x.shape
+    rows = x.reshape(-1, d)
+    q = _heads(_affine(rows, wq, bq), b, t, heads)
+    k = _heads(_affine(rows, wk, bk), b, t, heads)
+    scores = q @ np.transpose(k, (0, 1, 3, 2))
+    scores *= 1.0 / np.sqrt(d // heads)
+    return q, k, softmax_array(scores)
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+    """Multi-head self-attention on ``x`` [B, T, D] with its output map: one graph node.
+
+    ``softmax(q @ kᵀ / sqrt(D / heads)) @ v`` per head, heads merged, then
+    ``@ wo + bo``; ``q``, ``k`` and ``v`` are ``x @ w + b``.  Each weight is
+    [D, D] and each bias [D].  Bitwise the seventeen composed ops it
+    replaces (see above), in output and every gradient; the input
+    gradient is summed as ``(gx_q + gx_k) + gx_v``, the composed tape's
+    order.  A gradient is computed only for an input that requires one.
+    """
+    inputs = x, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(_lift, (x, wq, bq, wk, bk, wv, bv, wo, bo)))
+    xd = x.data
+    if xd.ndim != 3 or heads < 1 or xd.shape[2] % heads:
+        raise ShapeMismatchError(f"attention over {xd.shape} with {heads} heads")
+    b, t, d = xd.shape
+    if [p.data.shape for p in inputs[1:]] != [(d, d), (d,)] * 4:
+        raise ShapeMismatchError(f"attention over {d} features needs [D, D] weights and [D] biases")
+    rows = xd.reshape(-1, d)
+    q, k, p = attention_probs(xd, wq.data, bq.data, wk.data, bk.data, heads)
+    v = _heads(_affine(rows, wv.data, bv.data), b, t, heads)
+    merged = _merge_heads(p @ v, b, t)
+    out = _affine(merged, wo.data, bo.data)
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, d)
+        gmixed = np.transpose((g2 @ wo.data.T).reshape(b, t, heads, -1), (0, 2, 1, 3))
+        gp = gmixed @ np.swapaxes(v, -1, -2)
+        gv = np.swapaxes(p, -1, -2) @ gmixed
+        gs = _softmax_backward(p, gp, -1)
+        gs *= 1.0 / np.sqrt(d // heads)
+        gq = gs @ k
+        gk = np.transpose(np.swapaxes(q, -1, -2) @ gs, (0, 1, 3, 2))
+        grads = [None] * 9
+        gx = None
+        for i, gh in ((1, gq), (3, gk), (5, gv)):
+            gh2 = _merge_heads(gh, b, t)
+            if x.requires_grad:
+                part = gh2 @ inputs[i].data.T
+                if gx is None:
+                    gx = part
+                else:
+                    gx += part
+            if inputs[i].requires_grad:
+                grads[i] = rows.T @ gh2
+            if inputs[i + 1].requires_grad:
+                grads[i + 1] = np.add.reduce(gh2, axis=0)
+        if x.requires_grad:
+            grads[0] = gx.reshape(xd.shape)
+        if wo.requires_grad:
+            grads[7] = merged.T @ g2
+        if bo.requires_grad:
+            grads[8] = np.add.reduce(g2, axis=0)
+        return grads
+
+    return _result(out.reshape(b, t, d), inputs, grad_fn)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` on the last axis: one graph node.
+
+    Bitwise the two ``linear`` nodes and the ``gelu`` node it replaces, in
+    output and every gradient: the GELU runs through the same tiles.  A
+    gradient is computed only for an input that requires one.
+    """
+    inputs = x, w1, b1, w2, b2 = tuple(map(_lift, (x, w1, b1, w2, b2)))
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if (
+        w1d.ndim != 2
+        or w2d.ndim != 2
+        or xd.shape[-1:] != w1d.shape[:1]
+        or w2d.shape[:1] != w1d.shape[1:]
+        or b1.data.shape != w1d.shape[1:]
+        or b2.data.shape != w2d.shape[1:]
+    ):
+        raise ShapeMismatchError(
+            f"mlp over {xd.shape}: w1 {w1d.shape}, b1 {b1.data.shape}, w2 {w2d.shape}, b2 {b2.data.shape}"
+        )
+    rows = xd.reshape(-1, xd.shape[-1])
+    hidden = _affine(rows, w1d, b1.data)
+    act, gelu_x, gelu_t = _gelu_forward(hidden, _records_graph(inputs))
+    out = _affine(act, w2d, b2.data)
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = gw1 = gb1 = gw2 = gb2 = None
+        if w2.requires_grad:
+            gw2 = act.T @ g2
+        if b2.requires_grad:
+            gb2 = np.add.reduce(g2, axis=0)
+        gh = _gelu_backward(gelu_x, gelu_t, g2 @ w2d.T)
+        if x.requires_grad:
+            gx = (gh @ w1d.T).reshape(xd.shape)
+        if w1.requires_grad:
+            gw1 = rows.T @ gh
+        if b1.requires_grad:
+            gb1 = np.add.reduce(gh, axis=0)
+        return gx, gw1, gb1, gw2, gb2
+
+    return _result(out.reshape(xd.shape[:-1] + w2d.shape[1:]), inputs, grad_fn)
 
 
 # -- spatial primitives -------------------------------------------------------

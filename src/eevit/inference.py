@@ -71,8 +71,11 @@ class ExitPolicy:
         """Per sample, the first exit that fires over [exits, n] confidences.
 
         A sample no exit claims gets the index ``exits``: the final classifier.
+        With no exits that is index 0 for every sample.
         """
         fired = self.fires(confidences)
+        if not len(fired):
+            return np.zeros(fired.shape[1], dtype=np.intp)
         return np.where(fired.any(axis=0), fired.argmax(axis=0), len(confidences))
 
 

@@ -76,41 +76,42 @@ class EncoderOutput:
 
 
 class MultiHeadSelfAttention(Module):
-    """Scaled dot-product attention with per-head projections and output map."""
+    """Scaled dot-product attention with per-head projections and output map.
+
+    The four ``Linear`` children hold the parameters; ``ag.attention`` runs
+    the whole sublayer as one graph node.
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if dim % heads != 0:
             raise ValueError("dim must be divisible by heads")
-        self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def _split(self, x: Tensor, b: int, t: int) -> Tensor:
-        return x.reshape((b, t, self.heads, self.head_dim)).transpose((0, 2, 1, 3))
-
     def weights(self, x: Tensor) -> Tensor:
-        """Attention weights [batch, heads, T, T]; each query row sums to one."""
-        b, t, _ = x.shape
-        q = self._split(self.wq(x), b, t)
-        k = self._split(self.wk(x), b, t)
-        scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-        return ag.softmax(scores, axis=-1)
+        """Attention weights [batch, heads, T, T], without a graph; each query row sums to one.
+
+        Bitwise the probabilities that ``__call__`` mixes the values with.
+        """
+        wq, wk = self.wq, self.wk
+        return Tensor(
+            ag.attention_probs(x.data, wq.weight.data, wq.bias.data, wk.weight.data, wk.bias.data, self.heads)[2]
+        )
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, t, _ = x.shape
-        attn = self.weights(x)
-        v = self._split(self.wv(x), b, t)
-        mixed = ag.matmul(attn, v)
-        merged = mixed.transpose((0, 2, 1, 3)).reshape((b, t, self.dim))
-        return self.wo(merged)
+        wq, wk, wv, wo = self.wq, self.wk, self.wv, self.wo
+        return ag.attention(
+            x, wq.weight, wq.bias, wk.weight, wk.bias, wv.weight, wv.bias, wo.weight, wo.bias, self.heads
+        )
 
 
 class EncoderBlock(Module):
+    """Pre-norm block; ``fc1`` and ``fc2`` hold the MLP's parameters for ``ag.mlp``."""
+
     def __init__(self, dim: int, heads: int, mlp_ratio: float, rng: np.random.Generator):
         super().__init__()
         hidden = int(dim * mlp_ratio)
@@ -122,7 +123,8 @@ class EncoderBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
-        return x + self.fc2(ag.gelu(self.fc1(self.norm2(x))))
+        fc1, fc2 = self.fc1, self.fc2
+        return x + ag.mlp(self.norm2(x), fc1.weight, fc1.bias, fc2.weight, fc2.bias)
 
 
 class PatchEmbed(Module):

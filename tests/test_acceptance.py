@@ -112,6 +112,12 @@ def _op_inventory():
     op("getitem", lambda r, x, y: (x[:, 1:, ::2] ** 2).sum())
     op("concat", lambda r, x, y: (ag.concat([x, y], axis=2) ** 2).sum())
     op("broadcast_to", lambda r, x, y: (ag.broadcast_to(x[:, :1, :], (2, 3, 4)) * y).sum())
+    # The encoder sublayers: x is the input [2, 3, 4], y's rows and entries the weights and biases.
+    op("attention", lambda r, x, y: (ag.attention(
+        x, y.reshape((6, 4))[:4], y[0, 0], y.reshape((6, 4))[1:5], y[0, 1],
+        y.reshape((6, 4))[2:], y[1, 0], y.reshape((6, 4))[:4].transpose(), y[1, 1], 2) ** 2).sum())
+    op("mlp", lambda r, x, y: (ag.mlp(
+        x, y.reshape((6, 4))[:4], y[0, 0], y.reshape((6, 4))[2:], y[0, 1]) ** 3).sum())
     return inventory
 
 

@@ -753,9 +753,118 @@ class TestDepthwiseConv:
             np.testing.assert_array_equal(a, c)
 
 
+def _composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """Multi-head self-attention as the seventeen ops it used to be built from."""
+    b, t, d = x.shape
+
+    def split(y):
+        return y.reshape((b, t, heads, d // heads)).transpose((0, 2, 1, 3))
+
+    q, k, v = split(ag.linear(x, wq, bq)), split(ag.linear(x, wk, bk)), split(ag.linear(x, wv, bv))
+    scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d // heads))
+    mixed = ag.matmul(ag.softmax(scores, axis=-1), v)
+    return ag.linear(mixed.transpose((0, 2, 1, 3)).reshape((b, t, d)), wo, bo)
+
+
+def _composed_mlp(x, w1, b1, w2, b2):
+    """The MLP as the three nodes it used to be: linear, gelu, linear."""
+    return ag.linear(ag.gelu(ag.linear(x, w1, b1)), w2, b2)
+
+
+def _sublayer_run(fn, x, params, input_grad):
+    """Output and every gradient of ``fn(x, *params)`` under a fixed random cotangent."""
+    xt = Tensor(x, requires_grad=input_grad)
+    tensors = [Tensor(p, requires_grad=True) for p in params]
+    out = fn(xt, *tensors)
+    cot = np.random.default_rng(11).standard_normal(out.shape)
+    ag.backward((out * Tensor(cot)).sum())
+    return out, [out.data, xt.grad] + [t.grad for t in tensors]
+
+
+def _attention_params(r, d):
+    return [r.standard_normal(s) * 0.3 for _ in range(4) for s in ((d, d), (d,))]
+
+
+class TestFusedSublayers:
+    """``attention`` and ``mlp`` are one tape node each and bitwise the ops they replace.
+
+    Batches 1 and 3, the block's T = 17 and the desk GAHs' T = 4 and 1,
+    with the input requiring grad (stage 1) and with only the weights doing
+    so (a GAH in stage 2, whose input is the frozen backbone's).
+    """
+
+    CASES = [(b, t, input_grad) for b in (1, 3) for t in (17, 4, 1) for input_grad in (True, False)]
+
+    @pytest.mark.parametrize("batch,tokens,input_grad", CASES)
+    def test_attention_bitwise_the_composition(self, batch, tokens, input_grad):
+        r = np.random.default_rng(batch * 100 + tokens)
+        x, params = r.standard_normal((batch, tokens, 16)), _attention_params(r, 16)
+        fused, one = _sublayer_run(lambda *a: ag.attention(*a, 4), x, params, input_grad)
+        _, many = _sublayer_run(lambda *a: _composed_attention(*a, 4), x, params, input_grad)
+        assert len(ag.Tape.trace(fused).tensors) == 1
+        assert (one[1] is None) == (not input_grad)
+        for a, c in zip(one, many, strict=True):
+            np.testing.assert_array_equal(a, c)
+
+    @pytest.mark.parametrize("batch,tokens,input_grad", CASES)
+    def test_mlp_bitwise_the_composition(self, batch, tokens, input_grad):
+        r = np.random.default_rng(batch * 100 + tokens)
+        x = r.standard_normal((batch, tokens, 16))
+        params = [r.standard_normal(s) * 0.3 for s in ((16, 64), (64,), (64, 16), (16,))]
+        fused, one = _sublayer_run(ag.mlp, x, params, input_grad)
+        _, many = _sublayer_run(_composed_mlp, x, params, input_grad)
+        assert len(ag.Tape.trace(fused).tensors) == 1
+        assert (one[1] is None) == (not input_grad)
+        for a, c in zip(one, many, strict=True):
+            np.testing.assert_array_equal(a, c)
+
+    def test_mlp_over_many_gelu_tiles_bitwise_the_composition(self):
+        """A hidden layer of more than one GELU tile: the desk block at batch 32."""
+        r = np.random.default_rng(5)
+        x = r.standard_normal((32, 17, 64))
+        params = [r.standard_normal(s) * 0.1 for s in ((64, 256), (256,), (256, 64), (64,))]
+        one = _sublayer_run(ag.mlp, x, params, True)[1]
+        many = _sublayer_run(_composed_mlp, x, params, True)[1]
+        for a, c in zip(one, many, strict=True):
+            np.testing.assert_array_equal(a, c)
+
+    def test_no_graph_outputs_bitwise_the_composition(self):
+        r = np.random.default_rng(6)
+        x, params = Tensor(r.standard_normal((1, 17, 16))), [Tensor(p) for p in _attention_params(r, 16)]
+        with ag.no_grad():
+            np.testing.assert_array_equal(
+                ag.attention(x, *params, 4).data, _composed_attention(x, *params, 4).data
+            )
+            np.testing.assert_array_equal(
+                ag.mlp(x, params[0], params[1], params[2], params[3]).data,
+                _composed_mlp(x, params[0], params[1], params[2], params[3]).data,
+            )
+
+    def test_shape_mismatch(self):
+        x = Tensor(np.zeros((1, 3, 8)))
+        square, vec = Tensor(np.zeros((8, 8))), Tensor(np.zeros(8))
+        with pytest.raises(ShapeMismatchError):
+            ag.attention(x, *[square, vec] * 4, 3)  # 8 features do not split into 3 heads
+        with pytest.raises(ShapeMismatchError):
+            ag.attention(x, *[square, vec] * 3, Tensor(np.zeros((8, 4))), Tensor(np.zeros(4)), 2)
+        with pytest.raises(ShapeMismatchError):
+            ag.mlp(x, Tensor(np.zeros((8, 4))), Tensor(np.zeros(4)), Tensor(np.zeros((5, 8))), vec)
+
+
 def _batch_norm_node(x, g, b, training):
     stats = (np.full(4, 0.3), np.full(4, 2.0))
     return ag.batch_norm(x, g[0, 0], b[0, 1], *stats, training, 0.1, 1e-8)
+
+
+def _attention_node(x, w, b):
+    """Two heads over [3, 2, 4]: four 4 x 4 weights cut from ``w``, four biases from ``b``."""
+    rows = w.reshape((6, 4))
+    return ag.attention(x, rows[:4], b[0, 0], rows[1:5], b[0, 1], rows[2:], b[1, 0], rows[:4].transpose(), b[1, 1], 2)
+
+
+def _mlp_node(x, w, b):
+    rows = w.reshape((6, 4))
+    return ag.mlp(x, rows[:4], b[0, 0], rows[2:], b[0, 1])
 
 
 OPS_FOR_FD = [
@@ -781,6 +890,8 @@ OPS_FOR_FD = [
     ("layer_norm", lambda x, g, b: (ag.layer_norm(x, g[0, 0], b[0, 1], 1e-12) ** 3).sum(), 3),
     ("batch_norm", lambda x, g, b: (_batch_norm_node(x, g, b, True) ** 3).sum(), 3),
     ("batch_norm_eval", lambda x, g, b: (_batch_norm_node(x, g, b, False) ** 3).sum(), 3),
+    ("attention", lambda x, w, b: (_attention_node(x, w, b) ** 2).sum(), 3),
+    ("mlp", lambda x, w, b: (_mlp_node(x, w, b) ** 3).sum(), 3),
 ]
 
 

@@ -65,7 +65,7 @@ class TestPolicy:
 
     @given(
         st.integers(0, 2**31 - 1),
-        st.integers(1, 5),
+        st.integers(0, 5),
         st.integers(1, 12),
         st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]),
     )
@@ -80,6 +80,12 @@ class TestPolicy:
             first = next((i for i, c in enumerate(column) if policy.fires(float(c))), exits)
             expected.append(first)
         np.testing.assert_array_equal(policy.decide(conf), expected)
+
+    def test_no_exits_decide_the_final_classifier(self):
+        for n in (0, 1, 5):
+            decided = ExitPolicy(0.0).decide(np.empty((0, n)))
+            assert decided.shape == (n,)
+            assert (decided == 0).all()
 
 
 class TestSingleSample:
@@ -213,6 +219,16 @@ class TestDatasetEvaluation:
         logits, decided = cascade(system.model, system.branches, dataset.images, math.inf)
         assert np.isfinite(logits).all()
         assert (decided == len(system.branches)).all()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.9, math.inf])
+    def test_no_branches_is_the_plain_forward(self, trained, tau):
+        run, system, dataset = trained
+        logits, decided = cascade(system.model, [], dataset.images, tau)
+        with no_grad():
+            plain = system.model.forward(Tensor(dataset.images)).data
+        assert logits.shape == (1,) + plain.shape
+        np.testing.assert_array_equal(logits[0], plain)
+        np.testing.assert_array_equal(decided, np.zeros(len(dataset.images)))
 
     def test_non_finite_logits_rejected(self, trained):
         run, system, dataset = trained

@@ -85,6 +85,28 @@ class TestAttention:
         out = attn(Tensor(x))
         np.testing.assert_allclose(out.data, expect, rtol=1e-12)
 
+    def test_weights_are_the_probabilities_the_forward_mixes(self, rng, monkeypatch):
+        """``weights`` is bitwise the node's probabilities and the composed ops' softmax."""
+        attn = MultiHeadSelfAttention(8, 2, rng)
+        x = Tensor(rng.standard_normal((3, 5, 8)), requires_grad=True)
+        mixed, probs = [], ag.attention_probs
+
+        def spy(*args):
+            result = probs(*args)
+            mixed.append(result[2])
+            return result
+
+        monkeypatch.setattr(ag, "attention_probs", spy)
+        attn(x)
+        (used,) = mixed
+        np.testing.assert_array_equal(attn.weights(x).data, used)
+
+        def split(lin):
+            return ag.linear(x, lin.weight, lin.bias).reshape((3, 5, 2, 4)).transpose((0, 2, 1, 3))
+
+        scores = ag.matmul(split(attn.wq), split(attn.wk).transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(4))
+        np.testing.assert_array_equal(used, ag.softmax(scores, axis=-1).data)
+
     def test_rows_sum_to_one_every_layer(self, tiny_model, rng):
         tokens = tiny_model.embed(Tensor(rng.standard_normal((2, 3, 16, 16)))).tokens
         for block in tiny_model.blocks:
