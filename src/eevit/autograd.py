@@ -37,6 +37,10 @@ class NonScalarLossError(ValueError):
     """backward() was called on a tensor with more than one element."""
 
 
+class AdvancedIndexError(IndexError):
+    """A tensor was indexed with an integer array or a mask, which ``getitem`` does not support."""
+
+
 # Grad mode is one flag for the whole process, not per thread: ``no_grad``
 # entered on one thread stops graph recording on every thread, which is
 # what lets ``slabs`` workers run graph-free without entering it.
@@ -99,10 +103,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item() on tensor of shape {self.shape}")
+        if self.data.size != 1:
+            raise ValueError(f"item() on tensor of shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -125,23 +128,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -163,9 +151,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-_lift = as_tensor
 
 
 def _records_graph(inputs: tuple) -> bool:
@@ -274,7 +259,7 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def grad_fn(g):
         return (
@@ -286,7 +271,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def grad_fn(g):
         return (
@@ -298,7 +283,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = as_tensor(a), as_tensor(b)
 
     def grad_fn(g):
         return (
@@ -309,21 +294,8 @@ def mul(a, b) -> Tensor:
     return _result(a.data * b.data, (a, b), grad_fn)
 
 
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-
-    def grad_fn(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-        return ga, gb
-
-    return _result(a.data / b.data, (a, b), grad_fn)
-
-
 def neg(a) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
 
     def grad_fn(g):
         return (-g,)
@@ -335,7 +307,7 @@ def power(a, exponent: float) -> Tensor:
     """Elementwise power with a constant scalar exponent."""
     if isinstance(exponent, Tensor):
         raise TypeError("tensor exponents are not supported")
-    a = _lift(a)
+    a = as_tensor(a)
     p = float(exponent)
     out = a.data**p
 
@@ -345,43 +317,13 @@ def power(a, exponent: float) -> Tensor:
     return _result(out, (a,), grad_fn)
 
 
-def exp(a) -> Tensor:
-    a = _lift(a)
-    out = np.exp(a.data)
-
-    def grad_fn(g):
-        return (g * out,)
-
-    return _result(out, (a,), grad_fn)
-
-
 def log(a) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
 
     def grad_fn(g):
         return (g / a.data,)
 
     return _result(np.log(a.data), (a,), grad_fn)
-
-
-def tanh(a) -> Tensor:
-    a = _lift(a)
-    out = np.tanh(a.data)
-
-    def grad_fn(g):
-        return (g * (1.0 - out * out),)
-
-    return _result(out, (a,), grad_fn)
-
-
-def sqrt(a) -> Tensor:
-    a = _lift(a)
-    out = np.sqrt(a.data)
-
-    def grad_fn(g):
-        return (g * 0.5 / out,)
-
-    return _result(out, (a,), grad_fn)
 
 
 def _gelu_tile(x: Array, t: Array, out: Array, one: Array) -> None:
@@ -476,7 +418,7 @@ def gelu(a) -> Tensor:
     graph is recorded, ``t`` for the backward; every other temporary is one
     tile of scratch, which stays in cache across the passes.
     """
-    a = _lift(a)
+    a = as_tensor(a)
     out, x, t = _gelu_forward(a.data, _records_graph((a,)))
 
     def grad_fn(g):
@@ -489,7 +431,7 @@ def gelu(a) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
     src_shape = a.data.shape
 
     def grad_fn(g):
@@ -499,7 +441,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def transpose(a, axes=None) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
 
     def grad_fn(g):
         inv = None if axes is None else np.argsort(axes)
@@ -509,7 +451,7 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def broadcast_to(a, shape) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
     src_shape = a.data.shape
 
     def grad_fn(g):
@@ -520,26 +462,30 @@ def broadcast_to(a, shape) -> Tensor:
 
 def _is_basic_key(key) -> bool:
     parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(p, (int, slice, type(None), type(Ellipsis))) for p in parts)
+    return all(isinstance(p, (int, slice, type(None), type(Ellipsis), np.integer)) for p in parts)
 
 
 def getitem(a, key) -> Tensor:
-    a = _lift(a)
-    basic = _is_basic_key(key)
+    """``a[key]`` for a basic key: integers, slices, ``None`` and ``...``, alone or in a tuple.
+
+    A basic key picks each element at most once, so the gradient is ``g``
+    written into zeros at ``key``.  An array or mask key raises
+    ``AdvancedIndexError`` before any node is recorded.
+    """
+    a = as_tensor(a)
+    if not _is_basic_key(key):
+        raise AdvancedIndexError(f"getitem takes basic keys only (integers, slices, None, ...), got {key!r}")
 
     def grad_fn(g):
         buf = np.zeros_like(a.data)
-        if basic:
-            buf[key] += g
-        else:
-            np.add.at(buf, key, g)
+        buf[key] += g
         return (buf,)
 
     return _result(a.data[key], (a,), grad_fn)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = tuple(_lift(t) for t in tensors)
+    tensors = tuple(as_tensor(t) for t in tensors)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -562,7 +508,7 @@ def _expand_reduced(g: Array, shape: tuple[int, ...], axis, keepdims: bool) -> A
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
 
     def grad_fn(g):
         return (_expand_reduced(g, a.data.shape, axis, keepdims),)
@@ -572,7 +518,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
 
 
 def mean_(a, axis=None, keepdims=False) -> Tensor:
-    a = _lift(a)
+    a = as_tensor(a)
     if axis is None:
         count = a.data.size
     else:
@@ -599,7 +545,7 @@ def _check_matmul(ad: Array, bd: Array) -> None:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
+    a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     _check_matmul(ad, bd)
 
@@ -627,7 +573,7 @@ def linear(x, w, b) -> Tensor:
     ``x`` is flattened to ``[rows, D]``, so a batch of token rows is a single
     gemm and the weight gradient needs no per-sample temporary.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd, bd = x.data, w.data, b.data
     _check_matmul(xd, wd)
     if wd.ndim != 2 or bd.shape != wd.shape[1:]:
@@ -656,7 +602,7 @@ def layer_norm(x, gain, bias, eps: float) -> Tensor:
     The backward is the closed form ``r * (gn - mean(gn) - n * mean(gn *
     n))`` with ``gn = g * gain``; it keeps ``n`` and ``r``.
     """
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd, gd, bd = x.data, gain.data, bias.data
     d = xd.shape[-1]
     if gd.shape != (d,) or bd.shape != (d,):
@@ -709,7 +655,7 @@ def batch_norm(
     affine is applied in place too unless a graph is recorded, and the
     input gradient is ``g * gain * r``.
     """
-    x, gain, bias = _lift(x), _lift(gain), _lift(bias)
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     xd, gd, bd = x.data, gain.data, bias.data
     if xd.ndim < 2 or any(
         v.shape != xd.shape[-1:] for v in (gd, bd, running_mean, running_var)
@@ -769,7 +715,7 @@ def batch_norm(
 
 def gather_rows(a, index: Array) -> Tensor:
     """Pick one entry per row along the last axis: out[...] = a[..., index[...]]."""
-    a = _lift(a)
+    a = as_tensor(a)
     idx = np.asarray(index, dtype=np.int64)
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
@@ -808,7 +754,7 @@ def _softmax_backward(s: Array, g: Array, axis: int) -> Array:
 
 def softmax(a, axis: int = -1) -> Tensor:
     """``softmax_array`` as a graph node; the backward reads only the output."""
-    a = _lift(a)
+    a = as_tensor(a)
     s = softmax_array(a.data, axis)
 
     def grad_fn(g):
@@ -819,7 +765,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def log_softmax(a, axis: int = -1) -> Tensor:
     """``shifted - log(sum(exp(shifted)))`` along ``axis``, bitwise, subtracting in place."""
-    a = _lift(a)
+    a = as_tensor(a)
     out = _shifted(a.data, axis)
     out -= np.log(np.add.reduce(np.exp(out), axis=axis, keepdims=True))
 
@@ -875,7 +821,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     gradient is summed as ``(gx_q + gx_k) + gx_v``, the composed tape's
     order.  A gradient is computed only for an input that requires one.
     """
-    inputs = x, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(_lift, (x, wq, bq, wk, bk, wv, bv, wo, bo)))
+    inputs = x, wq, bq, wk, bk, wv, bv, wo, bo = tuple(map(as_tensor, (x, wq, bq, wk, bk, wv, bv, wo, bo)))
     xd = x.data
     if xd.ndim != 3 or heads < 1 or xd.shape[2] % heads:
         raise ShapeMismatchError(f"attention over {xd.shape} with {heads} heads")
@@ -929,7 +875,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     output and every gradient: the GELU runs through the same tiles.  A
     gradient is computed only for an input that requires one.
     """
-    inputs = x, w1, b1, w2, b2 = tuple(map(_lift, (x, w1, b1, w2, b2)))
+    inputs = x, w1, b1, w2, b2 = tuple(map(as_tensor, (x, w1, b1, w2, b2)))
     xd, w1d, w2d = x.data, w1.data, w2.data
     if (
         w1d.ndim != 2
@@ -975,7 +921,7 @@ def avg_pool2d(a, window: int) -> Tensor:
     Edge windows that fall short of ``window`` average over their true
     element count, so constants are preserved for every grid size.
     """
-    a = _lift(a)
+    a = as_tensor(a)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     b, h, w, c = a.data.shape
@@ -1020,9 +966,9 @@ def depthwise_conv2d(a, weight, bias=None, stride: int = 1, padding: int = 0) ->
     axis is innermost and numpy's vectorised reduction regroups the sum,
     which moves the last bit.
     """
-    a, weight = _lift(a), _lift(weight)
+    a, weight = as_tensor(a), as_tensor(weight)
     if bias is not None:
-        bias = _lift(bias)
+        bias = as_tensor(bias)
     wd = weight.data
     k = wd.shape[0]
     if wd.ndim != 3 or wd.shape[1] != k:

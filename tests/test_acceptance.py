@@ -94,15 +94,11 @@ def _op_inventory():
     op("add", lambda r, x, y: (x + y).sum())
     op("sub", lambda r, x, y: (x - y).sum())
     op("mul", lambda r, x, y: (x * y).sum())
-    op("div", lambda r, x, y: (x / (y * y + 1.0)).sum())
-    op("neg", lambda r, x, y: (-x).sum())
+    op("neg", lambda r, x, y: ag.neg(x).sum())
     op("power", lambda r, x, y: ((x * x + 1.0) ** 1.5).sum())
-    op("exp", lambda r, x, y: ag.exp(x).sum())
     op("log", lambda r, x, y: ag.log(x * x + 0.5).sum())
-    op("tanh", lambda r, x, y: ag.tanh(x).sum())
-    op("sqrt", lambda r, x, y: ag.sqrt(x * x + 0.5).sum())
     op("gelu", lambda r, x, y: ag.gelu(x).sum())
-    op("matmul", lambda r, x, y: (x.reshape((4, 6)) @ y.reshape((6, 4))).sum())
+    op("matmul", lambda r, x, y: ag.matmul(x.reshape((4, 6)), y.reshape((6, 4))).sum())
     op("softmax", lambda r, x, y: (ag.softmax(x, axis=-1) * y).sum())
     op("log_softmax", lambda r, x, y: (ag.log_softmax(x, axis=-1) * y).sum())
     op("sum", lambda r, x, y: (x.sum(axis=1, keepdims=True) * y[:, :1, :]).sum())

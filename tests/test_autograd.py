@@ -871,12 +871,8 @@ OPS_FOR_FD = [
     ("add", lambda x, y: (x + y).sum(), 2),
     ("sub", lambda x, y: (x - y).sum(), 2),
     ("mul", lambda x, y: (x * y).sum(), 2),
-    ("div", lambda x, y: (x / (y * y + 1.0)).sum(), 2),
-    ("power", lambda x: (x * x).sum(), 1),
-    ("exp", lambda x: ag.exp(x).sum(), 1),
+    ("power", lambda x: ((x * x + 1.0) ** 1.5).sum(), 1),
     ("log", lambda x: ag.log(x * x + 1.0).sum(), 1),
-    ("tanh", lambda x: ag.tanh(x).sum(), 1),
-    ("sqrt", lambda x: ag.sqrt(x * x + 1.0).sum(), 1),
     ("gelu", lambda x: ag.gelu(x).sum(), 1),
     ("softmax", lambda x: (ag.softmax(x, axis=-1) ** 2).sum(), 1),
     ("log_softmax", lambda x: (ag.log_softmax(x, axis=-1) * ag.log_softmax(x, axis=-1)).sum(), 1),
@@ -911,6 +907,26 @@ def test_gather_rows_gradient(rng):
     assert err < FD_TOL
 
 
+def test_getitem_rejects_an_array_key_before_recording():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    with pytest.raises(ag.AdvancedIndexError, match=r"array\(\[0, 0\]\)"):
+        x[np.array([0, 0])]
+    with pytest.raises(ag.AdvancedIndexError):
+        x[np.array([True, False, True])]
+
+
+def test_getitem_takes_numpy_integers_as_basic(rng):
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    err = grad_check(lambda: (x[np.int64(1), 1:] ** 2).sum(), [x])
+    assert err < FD_TOL
+
+
+def test_item_rejects_more_than_one_element():
+    assert Tensor([[2.5]]).item() == 2.5
+    with pytest.raises(ValueError, match=r"\(2,\)"):
+        Tensor([1.0, 2.0]).item()
+
+
 def test_tape_visits_each_node_once_in_topological_order(rng):
     w = Tensor(rng.standard_normal(4), requires_grad=True)
     a = w * 2.0
@@ -931,12 +947,12 @@ def test_forward_determinism():
     def run():
         r = np.random.default_rng(42)
         x = Tensor(r.standard_normal((3, 5)))
-        return (ag.softmax(ag.gelu(x @ Tensor(r.standard_normal((5, 4)))))).data
+        return (ag.softmax(ag.gelu(ag.matmul(x, Tensor(r.standard_normal((5, 4))))))).data
 
     np.testing.assert_array_equal(run(), run())
 
 
 def test_finite_outputs_on_finite_inputs(rng):
     x = Tensor(rng.standard_normal((4, 8)) * 100)
-    for out in (ag.softmax(x), ag.gelu(x), ag.tanh(x), ag.log_softmax(x)):
+    for out in (ag.softmax(x), ag.gelu(x), ag.log_softmax(x)):
         assert np.all(np.isfinite(out.data))
