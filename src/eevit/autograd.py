@@ -730,47 +730,47 @@ def gather_rows(a, index: Array) -> Tensor:
 # -- softmax family ----------------------------------------------------------
 
 
-def _shifted(x: Array, axis: int) -> Array:
-    """A fresh ``x - max(x, axis)``, laid out as ``x``; a fresh array even for 0-d ``x``."""
-    return np.subtract(x, np.maximum.reduce(x, axis=axis, keepdims=True), out=np.empty_like(x))
+def _shifted(x: Array) -> Array:
+    """A fresh ``x - max(x)`` over the last axis, laid out as ``x``; fresh even for 0-d ``x``."""
+    return np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=np.empty_like(x))
 
 
-def softmax_array(x: Array, axis: int = -1) -> Array:
-    """Numerically stable softmax of an array along ``axis`` (rows sum to one).
+def softmax_array(x: Array) -> Array:
+    """Numerically stable softmax of an array over its last axis (rows sum to one).
 
     ``exp(shifted) / sum(exp(shifted))`` bitwise, computed in place in the
     fresh shifted array, which is the only full-size allocation.
     """
-    s = _shifted(x, axis)
+    s = _shifted(x)
     np.exp(s, out=s)
-    s /= np.add.reduce(s, axis=axis, keepdims=True)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
     return s
 
 
-def _softmax_backward(s: Array, g: Array, axis: int) -> Array:
+def _softmax_backward(s: Array, g: Array) -> Array:
     """Softmax's input gradient under cotangent ``g``, from its output ``s``."""
-    return s * (g - np.add.reduce(g * s, axis=axis, keepdims=True))
+    return s * (g - np.add.reduce(g * s, axis=-1, keepdims=True))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
     """``softmax_array`` as a graph node; the backward reads only the output."""
     a = as_tensor(a)
-    s = softmax_array(a.data, axis)
+    s = softmax_array(a.data)
 
     def grad_fn(g):
-        return (_softmax_backward(s, g, axis),)
+        return (_softmax_backward(s, g),)
 
     return _result(s, (a,), grad_fn)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """``shifted - log(sum(exp(shifted)))`` along ``axis``, bitwise, subtracting in place."""
+def log_softmax(a) -> Tensor:
+    """``shifted - log(sum(exp(shifted)))`` over the last axis, bitwise, subtracting in place."""
     a = as_tensor(a)
-    out = _shifted(a.data, axis)
-    out -= np.log(np.add.reduce(np.exp(out), axis=axis, keepdims=True))
+    out = _shifted(a.data)
+    out -= np.log(np.add.reduce(np.exp(out), axis=-1, keepdims=True))
 
     def grad_fn(g):
-        return (g - np.exp(out) * np.add.reduce(g, axis=axis, keepdims=True),)
+        return (g - np.exp(out) * np.add.reduce(g, axis=-1, keepdims=True),)
 
     return _result(out, (a,), grad_fn)
 
@@ -839,7 +839,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
         gmixed = np.transpose((g2 @ wo.data.T).reshape(b, t, heads, -1), (0, 2, 1, 3))
         gp = gmixed @ np.swapaxes(v, -1, -2)
         gv = np.swapaxes(p, -1, -2) @ gmixed
-        gs = _softmax_backward(p, gp, -1)
+        gs = _softmax_backward(p, gp)
         gs *= 1.0 / np.sqrt(d // heads)
         gq = gs @ k
         gk = np.transpose(np.swapaxes(q, -1, -2) @ gs, (0, 1, 3, 2))
@@ -941,73 +941,60 @@ def avg_pool2d(a, window: int) -> Tensor:
     return _result(out, (a,), grad_fn)
 
 
-def _windows(grid: Array, k: int, stride: int) -> Array:
-    """Read-only ``[B, H', W', C, k, k]`` view of every k x k window, ``stride`` apart.
+def _windows(grid: Array, k: int) -> Array:
+    """Read-only ``[B, H, W, C, k, k]`` view of the k x k window at every position of ``grid``.
 
-    Bitwise ``sliding_window_view(grid, (k, k), axis=(1, 2))[:, ::stride, ::stride]``,
-    built with one ``as_strided`` call instead of that function's checks.
+    The grid is zero-padded by ``k // 2`` first (zeros plus one slice copy:
+    the same array ``np.pad`` builds, at a tenth of its cost).  The view is
+    bitwise ``sliding_window_view(padded, (k, k), axis=(1, 2))``, built with
+    one ``as_strided`` call instead of that function's checks.
     """
     b, h, w, c = grid.shape
-    sb, sh, sw, sc = grid.strides
-    shape = (b, (h - k) // stride + 1, (w - k) // stride + 1, c, k, k)
-    return as_strided(grid, shape, (sb, stride * sh, stride * sw, sc, sh, sw), writeable=False)
+    p = k // 2
+    padded = np.zeros((b, h + 2 * p, w + 2 * p, c))
+    padded[:, p : p + h, p : p + w, :] = grid
+    sb, sh, sw, sc = padded.strides
+    return as_strided(padded, (b, h, w, c, k, k), (sb, sh, sw, sc, sh, sw), writeable=False)
 
 
-def depthwise_conv2d(a, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+def depthwise_conv2d(a, weight, bias) -> Tensor:
     """Depthwise 2-D cross-correlation on [B, H, W, C] with kernel [k, k, C], plus bias [C].
 
-    One graph node.  The output and the input and weight gradients are
-    each one ``np.einsum`` over the k x k windows; the input gradient
-    gathers the reversed windows of the stride-dilated output gradient.
-    ``einsum`` without ``optimize`` sums each output element over the
-    taps in (u, v) order, or over (b, h, w) for the weight gradient, so
-    for two or more channels all three are bitwise the per-tap loop
-    (``out += window(u, v) * weight[u, v]``).  With one channel the tap
-    axis is innermost and numpy's vectorised reduction regroups the sum,
-    which moves the last bit.
+    The kernel size k is odd and the grid is zero-padded by ``k // 2``, so
+    the output has the input's shape.  One graph node.  The output and
+    the input and weight gradients are each one ``np.einsum`` over the
+    k x k windows; the input gradient correlates the padded output
+    gradient with the reversed kernel.  ``einsum`` without ``optimize``
+    sums each output element over the taps in (u, v) order, or over
+    (b, h, w) for the weight gradient, so for two or more channels all
+    three are bitwise the per-tap loop (``out += window(u, v) *
+    weight[u, v]``).  With one channel the tap axis is innermost and
+    numpy's vectorised reduction regroups the sum, which moves the last
+    bit.
     """
-    a, weight = as_tensor(a), as_tensor(weight)
-    if bias is not None:
-        bias = as_tensor(bias)
+    a, weight, bias = as_tensor(a), as_tensor(weight), as_tensor(bias)
     wd = weight.data
     k = wd.shape[0]
-    if wd.ndim != 3 or wd.shape[1] != k:
-        raise ShapeMismatchError(f"kernel must be [k, k, C], got {wd.shape}")
+    if wd.ndim != 3 or wd.shape[1] != k or k % 2 == 0:
+        raise ShapeMismatchError(f"kernel must be [k, k, C] with k odd, got {wd.shape}")
     if a.data.ndim != 4 or a.data.shape[3] != wd.shape[2]:
         raise ShapeMismatchError(f"input {a.data.shape} incompatible with kernel {wd.shape}")
-    if bias is not None and bias.data.shape != wd.shape[2:]:
+    if bias.data.shape != wd.shape[2:]:
         raise ShapeMismatchError(f"bias {bias.data.shape} does not match kernel {wd.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeMismatchError(f"stride must be >= 1 and padding >= 0, got {stride}, {padding}")
-    b, h, w, c = a.data.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if hp < k or wp < k:
-        raise ShapeMismatchError("kernel larger than padded input")
-    # Zeros plus one slice copy: the same array np.pad builds, at a tenth of its cost.
-    xp = np.zeros((b, hp, wp, c))
-    xp[:, padding : padding + h, padding : padding + w, :] = a.data
-    win = _windows(xp, k, stride)
+    win = _windows(a.data, k)
     out = np.einsum("bhwcuv,uvc->bhwc", win, wd)
-    if bias is not None:
-        out += bias.data  # into the fresh sum: the same additions as out + bias
+    out += bias.data  # into the fresh sum: the same additions as out + bias
 
     def grad_fn(g):
         ga = gw = gb = None
         if a.requires_grad:
-            # Padded position p takes g[i] * wd[u] wherever p = stride * i + u.
-            # g sits stride-dilated at offset k - 1 in a zero buffer, so the
-            # window at p, reversed, lines g[(p - u) / stride] up with wd[u].
-            hout, wout = g.shape[1:3]
-            gd = np.zeros((b, hp + k - 1, wp + k - 1, c))
-            lo = k - 1
-            gd[:, lo : lo + stride * hout : stride, lo : lo + stride * wout : stride] = g
-            rev = _windows(gd, k, 1)[:, padding : padding + h, padding : padding + w, :, ::-1, ::-1]
-            ga = np.einsum("bhwcuv,uvc->bhwc", rev, wd)
+            # Input position y takes g[y + k // 2 - u] * wd[u]: the reversed
+            # window of the padded g at y lines g up with wd.
+            ga = np.einsum("bhwcuv,uvc->bhwc", _windows(g, k)[..., ::-1, ::-1], wd)
         if weight.requires_grad:
             gw = np.einsum("bhwcuv,bhwc->uvc", win, g)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             gb = np.add.reduce(g, axis=(0, 1, 2))
         return ga, gw, gb
 
-    inputs = (a, weight) if bias is None else (a, weight, bias)
-    return _result(out, inputs, grad_fn)
+    return _result(out, (a, weight, bias), grad_fn)

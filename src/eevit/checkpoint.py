@@ -41,6 +41,8 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         blob = fh.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic")
+    if len(blob) == len(MAGIC):
+        raise CheckpointFormatError(f"{path}: no version byte after the magic")
     if blob[len(MAGIC)] != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {blob[len(MAGIC)]}")
     offset = len(MAGIC) + 1

@@ -6,12 +6,15 @@ features (heterogeneous term), convolutional heads match the deepest
 convolutional head and attention heads match Gram matrices of the
 deepest attention head (homogeneous terms), and the two deepest heads
 of each kind distill the final classifier's logits (prediction term).
-Teachers are detached everywhere, so the aligning modules act as fixed
-feature projections rather than trainable parameters.
+Teachers are detached everywhere.  The heterogeneous teacher is a
+parameter-free function of the final tokens (``align_teacher``): window
+averages down to the exit's grid, GELU, a fixed scale and a channel
+softmax.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, no_grad
-from .layers import BatchNorm, DepthwiseConv2d, Module, grid_to_tokens, tokens_to_grid
+from .layers import BatchNorm
 from .losses import cross_entropy, kl_divergence, mse
 
 
@@ -31,32 +34,36 @@ class AlignmentError(ValueError):
     """No integer stride reaches the target token count."""
 
 
-class AlignModule(Module):
-    """Reduce final-layer tokens to an exit's grid with a strided depthwise conv.
+def align_teacher(final_patches: np.ndarray, target_tokens: int) -> np.ndarray:
+    """Final-layer patch tokens [B, N, D] reduced to an exit's grid, as channel distributions.
 
-    Kernel size equals the stride, initialized to window averaging, and
-    is followed by GELU and batch norm.
+    The sqrt(N) x sqrt(N) grid is cut into non-overlapping s x s windows
+    with s = sqrt(N / target_tokens); each window is averaged, passed
+    through GELU and scaled, and each of the ``target_tokens`` rows is
+    softened over its D channels: [B, target_tokens, D].  Nothing here is
+    trained.
     """
-
-    def __init__(self, dim: int, source_tokens: int, target_tokens: int):
-        super().__init__()
-        src_side = int(round(source_tokens**0.5))
-        tgt_side = int(round(target_tokens**0.5))
-        if src_side**2 != source_tokens or tgt_side**2 != target_tokens:
-            raise AlignmentError("token counts must form square grids")
-        if src_side % tgt_side != 0:
-            raise AlignmentError(
-                f"no integer stride maps a {src_side}x{src_side} grid to {tgt_side}x{tgt_side}"
-            )
-        stride = src_side // tgt_side
-        rng = np.random.default_rng(0)
-        self.conv = DepthwiseConv2d(dim, stride, rng, stride=stride, padding=0)
-        self.conv.weight.data = np.full((stride, stride, dim), 1.0 / (stride * stride))
-        self.norm = BatchNorm(dim)
-
-    def __call__(self, final_tokens: Tensor) -> Tensor:
-        out = self.conv(tokens_to_grid(final_tokens))
-        return grid_to_tokens(self.norm(ag.gelu(out)))
+    b, n, d = final_patches.shape
+    src_side, tgt_side = math.isqrt(n), math.isqrt(target_tokens)
+    if src_side**2 != n or tgt_side**2 != target_tokens:
+        raise AlignmentError("token counts must form square grids")
+    if tgt_side == 0 or src_side % tgt_side != 0:
+        raise AlignmentError(
+            f"no integer stride maps a {src_side}x{src_side} grid to {tgt_side}x{tgt_side}"
+        )
+    s = src_side // tgt_side
+    # Every window as a [B, t, t, D, s, s] view.  The einsum adds each
+    # window's taps in (u, v) order, as ``ag.depthwise_conv2d`` does, and the
+    # bytes of every stage-2 teacher, checkpoint and metric depend on it.
+    grid = final_patches.reshape(b, tgt_side, s, tgt_side, s, d)
+    windows = grid.transpose(0, 1, 3, 5, 2, 4)
+    pooled = np.einsum("bhwcuv,uvc->bhwc", windows, np.full((s, s, d), 1.0 / (s * s)))
+    with no_grad():
+        act = ag.gelu(pooled).data
+    # The scale of an eval-mode BatchNorm at mean 0 and variance 1.  It
+    # stays so that stage-2 bytes stay.
+    act *= 1.0 / np.sqrt(1.0 + BatchNorm.eps)
+    return ag.softmax_array(act.reshape(b, target_tokens, d))
 
 
 def heterogeneous_ordinals(count: int) -> tuple[int, ...]:
@@ -66,12 +73,9 @@ def heterogeneous_ordinals(count: int) -> tuple[int, ...]:
     return tuple(sorted({1, count // 2, count // 2 + 1, count}))
 
 
-def aligned_teachers(
-    align_modules: dict[int, AlignModule], final_tokens: Tensor
-) -> dict[int, np.ndarray]:
-    """Channel-softmax of each aligned final-layer map, keyed by exit ordinal, without a graph."""
-    with no_grad():
-        return {m: ag.softmax(a(final_tokens), axis=-1).data for m, a in align_modules.items()}
+def aligned_teachers(targets: dict[int, int], final_patches: np.ndarray) -> dict[int, np.ndarray]:
+    """``align_teacher`` at each exit's target token count, keyed by exit ordinal."""
+    return {m: align_teacher(final_patches, t) for m, t in targets.items()}
 
 
 def heterogeneous_loss(exit_features: list[Tensor], teachers: dict[int, np.ndarray]) -> Tensor:
@@ -82,7 +86,7 @@ def heterogeneous_loss(exit_features: list[Tensor], teachers: dict[int, np.ndarr
         raise MissingExitError(f"no aligned teacher for exit ordinals {missing}")
     total: Tensor | None = None
     for m in ordinals:
-        student = ag.softmax(exit_features[m - 1], axis=-1)
+        student = ag.softmax(exit_features[m - 1])
         term = kl_divergence(teachers[m], student)
         total = term if total is None else total + term
     return total * 0.25
@@ -139,14 +143,14 @@ def kd_loss(
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     ce = cross_entropy(student_logits, labels)
     if gamma == 0.0:
         return ce
     teacher = ag.as_tensor(teacher_logits).detach()
-    soft_teacher = ag.softmax(teacher * (1.0 / temperature), axis=-1)
-    soft_student = ag.softmax(student_logits * (1.0 / temperature), axis=-1)
+    soft_teacher = ag.softmax(teacher * (1.0 / temperature))
+    soft_student = ag.softmax(student_logits * (1.0 / temperature))
     kl = kl_divergence(soft_teacher, soft_student)
     if gamma == 1.0:
         return kl

@@ -168,24 +168,15 @@ class BatchNorm(Module):
 
 
 class DepthwiseConv2d(Module):
-    """Per-channel k x k convolution on [B, H, W, C] grids."""
+    """Per-channel k x k convolution on [B, H, W, C] grids, k odd, padded to keep H and W."""
 
-    def __init__(
-        self,
-        channels: int,
-        kernel: int,
-        rng: np.random.Generator,
-        stride: int = 1,
-        padding: int | None = None,
-    ):
+    def __init__(self, channels: int, kernel: int, rng: np.random.Generator):
         super().__init__()
-        self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
         self.weight = Parameter(trunc_normal(rng, (kernel, kernel, channels)))
         self.bias = Parameter(np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.depthwise_conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ag.depthwise_conv2d(x, self.weight, self.bias)
 
 
 def avg_pool_global(x: Tensor) -> Tensor:

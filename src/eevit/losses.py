@@ -15,7 +15,7 @@ class InvalidDistributionError(ValueError):
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Softmax cross entropy against integer labels, mean over the batch."""
     labels = np.asarray(labels, dtype=np.int64)
-    logp = ag.log_softmax(logits, axis=-1)
+    logp = ag.log_softmax(logits)
     picked = ag.gather_rows(logp, labels)
     return ag.neg(picked.mean())
 

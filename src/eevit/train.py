@@ -25,7 +25,6 @@ from .autograd import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .data import LabeledDataset
 from .distill import (
-    AlignModule,
     DistillationParts,
     aligned_teachers,
     heterogeneous_loss,
@@ -278,29 +277,23 @@ def stage1_train(
     return history
 
 
-def build_align_modules(model: ViTModel, branches: list[ExitBranch]) -> dict[int, AlignModule]:
-    """One aligning module per heterogeneous-distillation ordinal.
+def teacher_targets(model: ViTModel, branches: list[ExitBranch]) -> dict[int, int]:
+    """Token count of each heterogeneous-distillation exit's teacher, keyed by exit ordinal.
 
-    Targets must match each exit's pre-pool token count: the full grid
-    for conv heads, the window-pooled grid for attention heads.  The
-    modules are detached teachers and are never optimized.
+    Empty unless the exits are LGViT's placement: an even count, conv
+    heads in the first half and attention heads in the second.  Targets
+    match each exit's pre-pool token count: the full grid for conv heads,
+    the window-pooled grid for attention heads.
     """
+    half = len(branches) // 2
+    if half == 0 or [b.kind for b in branches] != ["lph"] * half + ["gah"] * half:
+        return {}
     n = model.config.num_patches
-    modules: dict[int, AlignModule] = {}
+    targets = {}
     for ordinal in heterogeneous_ordinals(len(branches)):
         branch = branches[ordinal - 1]
-        target = pooled_tokens_exact(n, branch.head.window) if branch.kind == "gah" else n
-        modules[ordinal] = AlignModule(model.config.dim, n, target).eval()
-    return modules
-
-
-def _distillation_supported(placement: ExitPlacement) -> bool:
-    count = placement.count
-    if count < 2 or count % 2 != 0:
-        return False
-    kinds = placement.kinds
-    half = count // 2
-    return all(k == "lph" for k in kinds[:half]) and all(k == "gah" for k in kinds[half:])
+        targets[ordinal] = pooled_tokens_exact(n, branch.head.window) if branch.kind == "gah" else n
+    return targets
 
 
 def stage2_batch_losses(
@@ -312,8 +305,8 @@ def stage2_batch_losses(
     """Objective for one batch: distillation terms plus per-exit cross entropy.
 
     The distillation terms are added when ``frozen`` carries teachers,
-    which ``stage2_train`` aligns only for LGViT's placement: conv exits
-    in the first half of ``branches``, attention exits in the second.
+    which ``teacher_targets`` asks for only on LGViT's placement: conv
+    exits in the first half of ``branches``, attention exits in the second.
     """
     branch_logits: list[Tensor] = []
     features: list[Tensor] = []
@@ -358,7 +351,7 @@ def _frozen_table(
     images: np.ndarray,
     batch_size: int,
     positions: tuple[int, ...],
-    align_modules: dict[int, AlignModule],
+    targets: dict[int, int],
 ) -> FrozenOutputs:
     """Taps at ``positions``, final logits and ``aligned_teachers`` for every image.
 
@@ -374,12 +367,12 @@ def _frozen_table(
             chunks.append(FrozenOutputs(
                 {p: taps[p].tokens.data for p in positions},
                 model.final_classifier(final_state).data,
-                aligned_teachers(align_modules, final_state.patches()),
+                aligned_teachers(targets, final_state.patches().data),
             ))
     return FrozenOutputs(
         {p: np.concatenate([c.taps[p] for c in chunks]) for p in positions},
         np.concatenate([c.final_logits for c in chunks]),
-        {m: np.concatenate([c.teachers[m] for c in chunks]) for m in align_modules},
+        {m: np.concatenate([c.teachers[m] for c in chunks]) for m in targets},
     )
 
 
@@ -425,8 +418,8 @@ def stage2_train(
     distillation), C classes; 54 MB for 1000 desk images (t = 16, 16,
     4, 1).
     """
-    align_modules = build_align_modules(model, branches) if _distillation_supported(placement) else {}
-    if not align_modules:
+    targets = teacher_targets(model, branches)
+    if not targets:
         warnings.warn(
             f"exit kinds {','.join(placement.kinds)} are not LGViT's placement (an even "
             "count, lph in the first half, gah in the second): stage 2 trains each exit "
@@ -443,7 +436,7 @@ def stage2_train(
     # Momentum SGD, not Adam: the Gram-matrix distillation term diverges
     # under scale-invariant updates.
     opt = Optimizer(branch_params, cfg.lr_stage2, "sgd")
-    table = _frozen_table(model, dataset.images, cfg.batch_size, placement.positions, align_modules)
+    table = _frozen_table(model, dataset.images, cfg.batch_size, placement.positions, targets)
 
     def step(idx):
         return stage2_batch_losses(branches, table.rows(idx), dataset.labels[idx], cfg)

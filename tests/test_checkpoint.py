@@ -80,6 +80,12 @@ class TestCorruption:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(str(path))
 
+    def test_bare_magic(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC)
+        with pytest.raises(CheckpointFormatError, match="version"):
+            load_checkpoint(str(path))
+
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.ckpt"
         save_checkpoint(str(path), {"x": np.ones(10)})

@@ -1,15 +1,17 @@
 """Distillation losses: identities, invariances, and brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from eevit import autograd as ag
 from eevit.autograd import Tensor
 from eevit.distill import (
-    AlignModule,
     AlignmentError,
     DistillationParts,
     MissingExitError,
+    align_teacher,
     aligned_teachers,
     heterogeneous_loss,
     heterogeneous_ordinals,
@@ -19,42 +21,77 @@ from eevit.distill import (
     prediction_loss,
     total_loss,
 )
-from eevit.layers import grid_to_tokens, tokens_to_grid
+from eevit.layers import BatchNorm, tokens_to_grid
 from eevit.losses import cross_entropy
 
 from conftest import FD_TOL, grad_check
 
 
-def _softmax_np(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_np(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-class TestAlignModule:
-    def test_identity_kernel_stride_one_reproduces_input(self, rng):
-        align = AlignModule(dim=3, source_tokens=16, target_tokens=16)
-        align.conv.weight.data = np.ones((1, 1, 3))
-        align.conv.bias.data[...] = 0.0
-        x = Tensor(rng.standard_normal((2, 16, 3)))
-        out = grid_to_tokens(align.conv(tokens_to_grid(x)))
-        np.testing.assert_array_equal(out.data, x.data)
+_SCALE = 1.0 / np.sqrt(1.0 + BatchNorm.eps)
 
-    def test_sixteen_to_four_uses_stride_two(self):
-        align = AlignModule(dim=4, source_tokens=16, target_tokens=4)
-        assert align.conv.stride == 2
-        assert align.conv.weight.shape[:2] == (2, 2)
 
-    def test_constant_input_averaging_kernel_gives_constant(self):
-        align = AlignModule(dim=2, source_tokens=16, target_tokens=4)
-        align.conv.bias.data[...] = 0.0
-        out = align.conv(tokens_to_grid(Tensor(np.full((1, 16, 2), 3.0))))
-        np.testing.assert_allclose(out.data, 3.0, rtol=1e-12)
+def _teacher_oracle(x, target):
+    """The teacher written out: per-tap window sum, GELU, scale, channel softmax."""
+    b, n, d = x.shape
+    side, t = math.isqrt(n), math.isqrt(target)
+    s = side // t
+    grid = x.reshape(b, side, side, d)
+    pooled = np.zeros((b, t, t, d))
+    for u in range(s):
+        for v in range(s):
+            pooled += grid[:, u::s, v::s] * (1.0 / (s * s))
+    inner = (pooled * pooled * pooled * ag._GELU_CUBIC + pooled) * ag._SQRT_2_OVER_PI
+    act = pooled * 0.5 * (np.tanh(inner) + 1.0)
+    return _softmax_np((act * _SCALE).reshape(b, target, d))
+
+
+class TestAlignTeacher:
+    @pytest.mark.parametrize(
+        "n,target,d", [(16, 16, 4), (16, 4, 4), (16, 1, 4), (36, 4, 3), (64, 16, 2), (81, 9, 5)]
+    )
+    def test_matches_per_tap_oracle(self, rng, n, target, d):
+        x = rng.standard_normal((3, n, d)) * 2
+        np.testing.assert_array_equal(align_teacher(x, target), _teacher_oracle(x, target))
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_matches_avg_pool_within_rounding(self, rng, stride):
+        x = rng.standard_normal((2, 64, 6))
+        pooled = ag.avg_pool2d(tokens_to_grid(Tensor(x)), stride).data
+        expected = ag.softmax_array(ag.gelu(pooled).data.reshape(2, -1, 6) * _SCALE)
+        got = align_teacher(x, 64 // stride**2)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    def test_stride_one_leaves_the_tokens_unpooled(self, rng):
+        x = rng.standard_normal((2, 16, 3))
+        expected = ag.softmax_array(ag.gelu(x).data * _SCALE)
+        np.testing.assert_array_equal(align_teacher(x, 16), expected)
+
+    def test_sixteen_to_four_pools_two_by_two_windows(self, rng):
+        x = rng.standard_normal((1, 16, 4))
+        y = x.copy()
+        y[0, 5] += 10.0  # token (1, 1) lies in the first 2 x 2 window
+        moved = align_teacher(x, 4) != align_teacher(y, 4)
+        assert moved.shape == (1, 4, 4)
+        assert moved[0, 0].all() and not moved[0, 1:].any()
+
+    def test_constant_input_gives_constant_rows(self):
+        x = np.empty((1, 16, 2))
+        x[..., 0], x[..., 1] = 3.0, -1.0
+        out = align_teacher(x, 4)
+        np.testing.assert_allclose(out, np.broadcast_to(out[0, 0], out.shape), rtol=1e-12)
 
     def test_impossible_reduction_rejected(self):
         with pytest.raises(AlignmentError):
-            AlignModule(dim=2, source_tokens=16, target_tokens=9)
+            align_teacher(np.zeros((1, 16, 2)), 9)
         with pytest.raises(AlignmentError):
-            AlignModule(dim=2, source_tokens=12, target_tokens=4)
+            align_teacher(np.zeros((1, 12, 2)), 4)
+        with pytest.raises(AlignmentError):
+            align_teacher(np.zeros((1, 16, 2)), 0)
 
 
 class TestHeterogeneousLoss:
@@ -66,52 +103,47 @@ class TestHeterogeneousLoss:
             heterogeneous_ordinals(3)
 
     def _setup(self, rng, batch=2, n=16, d=4):
-        aligns = {m: AlignModule(d, n, n) for m in (1, 2, 3, 4)}
-        for align in aligns.values():
-            align.eval()
-        final = Tensor(rng.standard_normal((batch, n, d)))
-        return aligns, final
+        targets = {m: n for m in (1, 2, 3, 4)}
+        final = rng.standard_normal((batch, n, d))
+        return targets, final
 
     def test_zero_when_features_match_aligned_teacher(self, rng):
-        aligns, final = self._setup(rng)
-        with ag.no_grad():
-            teachers = [aligns[m](final) for m in (1, 2, 3, 4)]
-        features = [Tensor(t.data.copy()) for t in teachers]
-        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
+        targets, final = self._setup(rng)
+        teachers = aligned_teachers(targets, final)
+        features = [Tensor(np.log(teachers[m])) for m in (1, 2, 3, 4)]
+        loss = heterogeneous_loss(features, teachers)
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_mismatch_contributes_one_quarter(self, rng):
-        aligns, final = self._setup(rng)
-        with ag.no_grad():
-            teachers = [aligns[m](final) for m in (1, 2, 3, 4)]
-        features = [Tensor(t.data.copy()) for t in teachers]
+        targets, final = self._setup(rng)
+        teachers = aligned_teachers(targets, final)
+        features = [Tensor(np.log(teachers[m])) for m in (1, 2, 3, 4)]
         features[2] = Tensor(rng.standard_normal(features[2].shape))
-        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
+        loss = heterogeneous_loss(features, teachers)
 
-        teacher_probs = _softmax_np(teachers[2].data)
+        teacher_probs = teachers[3]
         student_probs = _softmax_np(features[2].data)
         per_token = (teacher_probs * (np.log(teacher_probs) - np.log(student_probs))).sum(-1)
         assert loss.item() == pytest.approx(0.25 * per_token.mean(), rel=1e-10)
 
     def test_matches_per_token_bruteforce(self, rng):
-        aligns, final = self._setup(rng, batch=3)
+        targets, final = self._setup(rng, batch=3)
         features = [Tensor(rng.standard_normal((3, 16, 4))) for _ in range(4)]
-        loss = heterogeneous_loss(features, aligned_teachers(aligns, final))
+        loss = heterogeneous_loss(features, aligned_teachers(targets, final))
 
         acc = 0.0
         for m in (1, 2, 3, 4):
-            with ag.no_grad():
-                teacher = _softmax_np(aligns[m](final).data)
+            teacher = _teacher_oracle(final, targets[m])
             student = _softmax_np(features[m - 1].data)
             acc += (teacher * (np.log(teacher) - np.log(student))).sum(-1).mean()
         assert loss.item() == pytest.approx(acc / 4.0, rel=1e-10)
 
-    def test_missing_align_module_rejected(self, rng):
-        aligns, final = self._setup(rng)
-        del aligns[3]
+    def test_missing_teacher_rejected(self, rng):
+        targets, final = self._setup(rng)
+        del targets[3]
         features = [Tensor(rng.standard_normal((2, 16, 4))) for _ in range(4)]
         with pytest.raises(MissingExitError):
-            heterogeneous_loss(features, aligned_teachers(aligns, final))
+            heterogeneous_loss(features, aligned_teachers(targets, final))
 
 
 class TestHomogeneousLph:
@@ -204,6 +236,12 @@ class TestKdLoss:
         with pytest.raises(ValueError):
             kd_loss(logits, logits.data, np.zeros(2, dtype=int), gamma=0.5, temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected(self, rng, temperature):
+        logits = Tensor(rng.standard_normal((2, 3)))
+        with pytest.raises(ValueError, match="temperature"):
+            kd_loss(logits, logits.data, np.zeros(2, dtype=int), gamma=0.5, temperature=temperature)
+
     def test_gradient_flows_to_student_only(self, rng):
         student = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
         teacher = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
@@ -275,9 +313,7 @@ class TestTotalLoss:
 
 def test_total_loss_gradient_matches_finite_differences(rng):
     final = Tensor(rng.standard_normal((2, 16, 4)))
-    aligns = {m: AlignModule(4, 16, 16) for m in (1, 2, 3, 4)}
-    for align in aligns.values():
-        align.eval()
+    targets = {m: 16 for m in (1, 2, 3, 4)}
     features = [Tensor(rng.standard_normal((2, 16, 4)), requires_grad=True) for _ in range(4)]
     logits = [Tensor(rng.standard_normal((2, 5)), requires_grad=True) for _ in range(4)]
     final_logits = rng.standard_normal((2, 5))
@@ -285,7 +321,7 @@ def test_total_loss_gradient_matches_finite_differences(rng):
 
     def build():
         parts = DistillationParts(
-            hete=heterogeneous_loss(features, aligned_teachers(aligns, final)),
+            hete=heterogeneous_loss(features, aligned_teachers(targets, final.data)),
             homo_lph=homogeneous_lph_loss(features[:2]),
             homo_gah=homogeneous_gah_loss(features[2:]),
             pred=prediction_loss(logits, final_logits, labels, 0.5, 4.0),

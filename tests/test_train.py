@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import eevit.distill as distill_mod
 import eevit.train as train_mod
 
 from eevit import autograd as ag
@@ -15,7 +16,7 @@ from eevit import autograd as ag
 from eevit.checkpoint import load_checkpoint
 from eevit.config import build_run_config, build_system
 from eevit.data import build_dataset
-from eevit.distill import AlignModule, heterogeneous_ordinals
+from eevit.distill import heterogeneous_ordinals
 from eevit.inference import cascade
 from eevit.losses import cross_entropy
 from eevit.metrics import MetricsWriter
@@ -25,7 +26,6 @@ from eevit.train import (
     NonFiniteLossError,
     StateShapeError,
     UnfrozenBackboneError,
-    build_align_modules,
     clip_gradients,
     collect_taps,
     exit_accuracies,
@@ -33,6 +33,7 @@ from eevit.train import (
     load_full_state,
     stage1_train,
     stage2_train,
+    teacher_targets,
 )
 from eevit.vit import EncoderOutput
 
@@ -168,12 +169,12 @@ class TestStage2:
         args = (system.model, system.branches, dataset, system.placement)
         assert exit_accuracies(*args, batch_size=5) == exit_accuracies(*args)
 
-    def test_align_modules_not_trainable(self):
-        run, system, dataset = small_run()
-        aligns = build_align_modules(system.model, system.branches)
-        assert set(aligns) == {1, 2, 3, 4}
-        for align in aligns.values():
-            assert not align.training
+    def test_teacher_targets_are_each_exits_pre_pool_token_count(self):
+        system = build_system(build_run_config({}))
+        assert teacher_targets(system.model, system.branches) == {1: 16, 2: 16, 3: 4, 4: 1}
+        for kinds in ("mlp,mlp,mlp,mlp", "gah,gah,lph,lph"):
+            other = build_system(build_run_config({"exits.kinds": kinds}))
+            assert teacher_targets(other.model, other.branches) == {}
 
     @pytest.mark.parametrize("epochs2", [1, 3])
     def test_frozen_backbone_runs_once_per_chunk_without_augmentation(self, monkeypatch, epochs2):
@@ -193,18 +194,18 @@ class TestStage2:
     def test_table_rows_match_a_recomputed_permuted_batch(self, rng):
         run, system, dataset = small_run(per_class=12)
         cfg, placement = run.train, system.placement
-        aligns = build_align_modules(system.model, system.branches)
+        targets = teacher_targets(system.model, system.branches)
         for branch in system.branches:
             branch.eval()
         table = train_mod._frozen_table(
-            system.model, dataset.images, cfg.batch_size, placement.positions, aligns
+            system.model, dataset.images, cfg.batch_size, placement.positions, targets
         )
         idx = rng.permutation(len(dataset))[: cfg.batch_size]
         recomputed = train_mod._frozen_table(
-            system.model, dataset.images[idx], len(idx), placement.positions, aligns
+            system.model, dataset.images[idx], len(idx), placement.positions, targets
         )
         rows = table.rows(idx)
-        assert rows.teachers.keys() == recomputed.teachers.keys() == aligns.keys()
+        assert rows.teachers.keys() == recomputed.teachers.keys() == targets.keys()
         for m, teacher in recomputed.teachers.items():
             np.testing.assert_array_equal(rows.teachers[m], teacher)
         _, from_table, _ = train_mod.stage2_batch_losses(
@@ -273,9 +274,9 @@ def test_stage2_batch_tape_size_on_desk_placement():
     run = build_run_config({"data.per_class": "1"})
     system = build_system(run)
     dataset = build_dataset(run.data)
-    aligns = build_align_modules(system.model, system.branches)
+    targets = teacher_targets(system.model, system.branches)
     frozen = train_mod._frozen_table(
-        system.model, dataset.images[:8], 8, system.placement.positions, aligns
+        system.model, dataset.images[:8], 8, system.placement.positions, targets
     )
     for branch in system.branches:
         branch.train()
@@ -338,9 +339,9 @@ def test_zero_distillation_weights_keep_the_doubled_prediction_terms():
     for branch in system.branches:
         branch.eval()
     labels = dataset.labels[:8]
-    aligns = build_align_modules(system.model, system.branches)
+    targets = teacher_targets(system.model, system.branches)
     frozen = train_mod._frozen_table(
-        system.model, dataset.images[:8], 8, system.placement.positions, aligns
+        system.model, dataset.images[:8], 8, system.placement.positions, targets
     )
     objective, scalars, _ = train_mod.stage2_batch_losses(system.branches, frozen, labels, run.train)
     ce = []
@@ -367,15 +368,15 @@ def _count_collect_taps(monkeypatch) -> list[int]:
 
 
 def _count_align_calls(monkeypatch) -> list[int]:
-    """Count ``AlignModule`` forwards, across every instance."""
+    """Count ``align_teacher`` calls made through ``eevit.distill``."""
     calls = [0]
-    original = AlignModule.__call__
+    original = distill_mod.align_teacher
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return original(self, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(AlignModule, "__call__", counted)
+    monkeypatch.setattr(distill_mod, "align_teacher", counted)
     return calls
 
 
@@ -551,10 +552,10 @@ def test_stage2_objective_gradient_matches_finite_differences(rng):
     run, system, dataset = small_run(per_class=4)
     from eevit.train import _frozen_table, stage2_batch_losses
 
-    aligns = build_align_modules(system.model, system.branches)
+    targets = teacher_targets(system.model, system.branches)
     for branch in system.branches:
         branch.eval()  # eval-mode norms make the objective deterministic
-    frozen = _frozen_table(system.model, dataset.images[:4], 4, system.placement.positions, aligns)
+    frozen = _frozen_table(system.model, dataset.images[:4], 4, system.placement.positions, targets)
     labels = dataset.labels[:4]
 
     def build():
